@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import CoefficientSet
+from .network import CoefficientSet, per_ray
 from .pde import PdeGrid, PdeProblem, PdeSolution, solve
 from .simulator import SimConfig, map_path_blocks, run_batch
 
@@ -53,22 +53,12 @@ class FKProblem:
                     raise ValueError("running cost exceeds its declared bound")
 
     def payoff(self, edge_arr: np.ndarray, x: np.ndarray, l: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        for e in range(1, len(self.g_edge) + 1):
-            m = edge_arr == e
-            if m.any():
-                out[m] = self.g_edge[e - 1](x[m], l[m])
-        return out
+        return per_ray(len(self.g_edge), edge_arr, lambda e, *a: self.g_edge[e - 1](*a), x, l)
 
     def running(self, edge_arr, t, x, l) -> np.ndarray:
         if self.h_edge is None:
             return np.zeros_like(x)
-        out = np.empty_like(x)
-        for e in range(1, len(self.h_edge) + 1):
-            m = edge_arr == e
-            if m.any():
-                out[m] = self.h_edge[e - 1](t[m], x[m], l[m])
-        return out
+        return per_ray(len(self.h_edge), edge_arr, lambda e, *a: self.h_edge[e - 1](*a), t, x, l)
 
     def vertex_cost(self, t, l) -> np.ndarray:
         if self.h0 is None:

@@ -25,6 +25,7 @@ __all__ = [
     "TestFunction",
     "TfTerm",
     "distance",
+    "per_ray",
     "validate_coefficients",
     "constant_coefficients",
 ]
@@ -78,6 +79,21 @@ def distance(p: NetworkPoint, q: NetworkPoint) -> float:
     if p.i == q.i or p.x == 0.0 or q.x == 0.0:
         return abs(p.x - q.x)
     return p.x + q.x
+
+
+def per_ray(n_rays: int, edge, fn: Callable, *args) -> np.ndarray:
+    """Row-wise fn(edge, *args) for a batch that mixes rays.
+
+    fn(e, *rows) is called once for each ray e in 1..n_rays that has rows,
+    on the rows of args where edge == e; the results are gathered into a
+    float64 array shaped like edge.
+    """
+    out = np.empty(np.shape(edge))
+    for e in range(1, n_rays + 1):
+        m = edge == e
+        if m.any():
+            out[m] = fn(e, *(a[m] for a in args))
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ _W1 = np.uint64(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _INV64 = 1.0 / 18446744073709551616.0  # 2**-64
 
-__all__ = ["philox4x32", "uniforms", "gaussians", "derive_seed", "CounterStream"]
+__all__ = ["philox4x32", "uniforms", "gaussians", "derive_seed"]
 
 
 def philox4x32(c0, c1, c2, c3, k0, k1):
@@ -86,22 +86,3 @@ def derive_seed(seed: int, *tags) -> int:
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
-
-class CounterStream:
-    """Stateful single-stream view, for scalar step-by-step use."""
-
-    def __init__(self, seed: int, stream: int = 0, start: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        self.counter = int(start)
-
-    def _next(self, fn):
-        out = fn(self.seed, self.stream, self.counter)
-        self.counter += 1
-        return float(out)
-
-    def uniform(self) -> float:
-        return self._next(uniforms)
-
-    def gaussian(self) -> float:
-        return self._next(gaussians)

@@ -32,19 +32,15 @@ from typing import Callable
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet
+from .network import CoefficientSet, per_ray
 
 __all__ = [
     "SpiderState",
-    "BoundaryContact",
-    "VertexPolicy",
     "SimConfig",
     "SpiderPath",
     "BatchResult",
     "FirstHitResult",
     "SimulationError",
-    "step_interior",
-    "resolve_vertex",
     "simulate_path",
     "simulate_batch",
     "first_hit",
@@ -72,32 +68,8 @@ class SpiderState:
     l: float
 
     def __post_init__(self):
-        if self.x < 0 or self.l < 0:
+        if not (self.x >= 0 and self.l >= 0):
             raise SimulationError(f"invalid state x={self.x}, l={self.l}")
-
-
-@dataclass(frozen=True)
-class BoundaryContact:
-    """Flagged intermediate state: the proposal left the half-line."""
-
-    t: float
-    proposal: float  # y <= 0
-    i: int
-    l: float
-    h: float
-
-
-@dataclass(frozen=True)
-class VertexPolicy:
-    kind: str  # "reflection" | "shell"
-    delta_shell: float
-    h: float
-
-    def __post_init__(self):
-        if self.kind not in ("reflection", "shell"):
-            raise SimulationError(f"unknown vertex policy {self.kind!r}")
-        if self.delta_shell <= 0 or self.h <= 0:
-            raise SimulationError("delta_shell and h must be positive")
 
 
 @dataclass(frozen=True)
@@ -119,9 +91,6 @@ class SimConfig:
             raise SimulationError("n_paths must be nonnegative")
         if not (0 <= int(self.seed) < 2**64):
             raise SimulationError("seed must fit in 64 bits")
-
-    def vertex_policy(self) -> VertexPolicy:
-        return VertexPolicy(self.policy, self.delta_shell, self.h)
 
     def n_steps(self, t_start: float = 0.0) -> int:
         span = self.T - t_start
@@ -215,71 +184,6 @@ class FirstHitResult:
 
 
 # ---------------------------------------------------------------------------
-# scalar operations
-# ---------------------------------------------------------------------------
-
-
-def step_interior(s: SpiderState, c: CoefficientSet, h: float, gaussian: float):
-    """One explicit Euler proposal from the interior of a ray.
-
-    Returns the advanced SpiderState when the proposal stays positive, or a
-    BoundaryContact carrying the negative proposal for the vertex policy.
-    """
-    if s.x <= 0:
-        raise SimulationError("step_interior needs x > 0")
-    if not math.isfinite(gaussian):
-        raise SimulationError("non-finite gaussian increment")
-    b = float(c.drift(s.i, s.t, s.x, s.l))
-    sig = float(c.diffusion(s.i, s.t, s.x, s.l))
-    if not (math.isfinite(b) and math.isfinite(sig)):
-        raise SimulationError("non-finite coefficient value")
-    y = s.x + b * h + sig * math.sqrt(h) * gaussian
-    if y > 0:
-        return SpiderState(s.t + h, y, s.i, s.l)
-    return BoundaryContact(s.t, y, s.i, s.l, h)
-
-
-def _pick_edge_scalar(c: CoefficientSet, t: float, l: float, u: float) -> int:
-    weights = np.asarray(c.alpha_matrix(t, l), dtype=float)
-    cum = np.cumsum(weights)
-    return int(min(np.searchsorted(cum, u, side="right"), c.I - 1)) + 1
-
-
-def resolve_vertex(s: BoundaryContact, c: CoefficientSet, policy: VertexPolicy,
-                   stream: _rng.CounterStream) -> SpiderState:
-    """Resolve a boundary contact according to the vertex policy.
-
-    The ray is drawn from alpha evaluated at the pre-contact (t, l), before
-    the local-time increment is booked.
-    """
-    if s.proposal > 0:
-        raise SimulationError("resolve_vertex needs a nonpositive proposal")
-    h = policy.h
-    j = _pick_edge_scalar(c, s.t, s.l, stream.uniform())
-    over = -s.proposal
-    if policy.kind == "reflection":
-        return SpiderState(s.t + h, over, j, s.l + 2.0 * over)
-    # shell: reflected excursion on ray j until the first step at or above
-    # delta_shell, then placed exactly there
-    t = s.t + h
-    x = over
-    l = s.l + 2.0 * over
-    while x < policy.delta_shell:
-        b = float(c.drift(j, t, x, l))
-        sig = float(c.diffusion(j, t, x, l))
-        y = x + b * h + sig * math.sqrt(h) * stream.gaussian()
-        if y <= 0:
-            x = -y
-            l += -2.0 * y
-        elif y >= policy.delta_shell:
-            x = policy.delta_shell
-        else:
-            x = y
-        t += h
-    return SpiderState(t, policy.delta_shell, j, l)
-
-
-# ---------------------------------------------------------------------------
 # vectorized engine
 # ---------------------------------------------------------------------------
 
@@ -288,18 +192,6 @@ def _pick_edges(amat: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(amat, axis=1)
     idx = (u[:, None] > cum).sum(axis=1)
     return np.minimum(idx, amat.shape[1] - 1).astype(np.int64) + 1
-
-
-def _eval_per_edge(c: CoefficientSet, fns_kind: str, edge, t, x, l) -> np.ndarray:
-    out = np.empty_like(x)
-    for e in range(1, c.I + 1):
-        m = edge == e
-        if m.any():
-            if fns_kind == "b":
-                out[m] = c.drift(e, t[m], x[m], l[m])
-            else:
-                out[m] = c.diffusion(e, t[m], x[m], l[m])
-    return out
 
 
 def run_batch(
@@ -323,9 +215,13 @@ def run_batch(
     ``on_step(k, t, x, edge, l, dl, contact)`` is called once per step with
     the left-endpoint state (edge already redrawn for paths departing the
     vertex), the local-time increment of the step and the contact mask.
-    With ``stop_level`` set the batch runs in absorption mode: paths stop at
-    the first grid point with x >= stop_level and a FirstHitResult is
-    returned (on_step and store are not supported there).
+
+    With ``stop_level`` set, absorption is a stop mask on the same loop: at
+    the top of every step (and after the last) the paths with x >= stop_level
+    book their time, ray and local time and are dropped from the running
+    arrays, which are copied once into shorter ones.  The loop ends early
+    when no path is left, and a FirstHitResult is returned, censored where
+    theta is nan; on_step and store are not supported there.
     """
     cfg.check_against(c)
     seed = cfg.seed if seed is None else seed
@@ -342,21 +238,18 @@ def run_batch(
     x = np.broadcast_to(np.asarray(x0, dtype=np.float64), (n,)).copy()
     edge = np.broadcast_to(np.asarray(edge0, dtype=np.int64), (n,)).copy()
     l = np.broadcast_to(np.asarray(l0, dtype=np.float64), (n,)).copy()
-    if np.any(x < 0) or np.any(l < 0) or np.any(edge < 1) or np.any(edge > c.I):
+    if not (np.all(x >= 0) and np.all(l >= 0)) or np.any(edge < 1) or np.any(edge > c.I):
         raise SimulationError("invalid initial states")
+    if gaussians is not None and gaussians.shape != (n, K):
+        raise SimulationError(f"gaussians must have shape ({n}, {K})")
+    absorbing = stop_level is not None
+    if absorbing and (on_step is not None or store):
+        raise SimulationError("absorption mode does not support on_step/store")
 
     shell = cfg.policy == "shell"
     sq = math.sqrt(cfg.h)
     h = cfg.h
     dsh = cfg.delta_shell
-
-    if gaussians is not None and gaussians.shape != (n, K):
-        raise SimulationError(f"gaussians must have shape ({n}, {K})")
-
-    if stop_level is not None:
-        if on_step is not None or store:
-            raise SimulationError("absorption mode does not support on_step/store")
-        return _run_absorbing(c, cfg, K, t, x, edge, l, path_ids, seed, stop_level)
 
     if store:
         X = np.empty((n, K + 1))
@@ -365,29 +258,52 @@ def run_batch(
         C = np.zeros((n, K + 1), dtype=bool)
         G = np.empty((n, K))
         X[:, 0], E[:, 0], L[:, 0] = x, edge, l
+    if absorbing:
+        theta = np.full(n, np.nan)
+        exit_edge = np.zeros(n, dtype=np.int64)
+        exit_l = np.full(n, np.nan)
+        rows = np.arange(n)  # output row of each running path
 
+    ids = path_ids
     pending = x == 0.0
     shell_mode = np.zeros(n, dtype=bool)
-    for k in range(K):
+
+    def redraw(mask, slot):
+        u = _rng.uniforms(seed, ids[mask], base + np.uint64(slot))
+        edge[mask] = _pick_edges(c.alpha_matrix(t[mask], l[mask]), u)
+
+    for k in range(K + 1):
+        if absorbing:
+            hit = x >= stop_level
+            if hit.any():
+                r = rows[hit]
+                theta[r], exit_edge[r], exit_l[r] = t[hit], edge[hit], l[hit]
+                keep = ~hit
+                t, x, edge, l, ids, pending, shell_mode, rows = (
+                    a[keep] for a in (t, x, edge, l, ids, pending, shell_mode, rows))
+            if rows.size == 0:
+                break
+        if k == K:
+            break
         base = np.uint64(_SLOTS * k)
         if pending.any():
-            u = _rng.uniforms(seed, path_ids[pending], base + np.uint64(_DEPART_SLOT))
-            amat = c.alpha_matrix(t[pending], l[pending])
-            edge[pending] = _pick_edges(amat, u)
+            redraw(pending, _DEPART_SLOT)
             if shell:
                 shell_mode |= pending
             pending[:] = False
             if store:
                 E[:, k] = edge  # departure ray is the label at this node
         if gaussians is None:
-            g = _rng.gaussians(seed, path_ids, base + np.uint64(_GAUSS_SLOT))
+            g = _rng.gaussians(seed, ids, base + np.uint64(_GAUSS_SLOT))
+        elif absorbing:
+            g = gaussians[rows, k]
         else:
             g = gaussians[:, k]
-        bv = _eval_per_edge(c, "b", edge, t, x, l)
-        sv = _eval_per_edge(c, "s", edge, t, x, l)
-        if not (np.all(np.isfinite(bv)) and np.all(np.isfinite(sv))):
-            raise SimulationError(f"non-finite coefficient at step {k}")
+        bv = per_ray(c.I, edge, c.drift, t, x, l)
+        sv = per_ray(c.I, edge, c.diffusion, t, x, l)
         y = x + bv * h + sv * sq * g
+        if not np.all(np.isfinite(y)):
+            raise SimulationError(f"non-finite proposal at step {k}")
         contact = y <= 0.0
         over = np.where(contact, -y, 0.0)
         dl = 2.0 * over
@@ -399,18 +315,13 @@ def run_batch(
         if shell:
             enter = contact & ~shell_mode
             if enter.any():
-                u = _rng.uniforms(seed, path_ids[enter], base + np.uint64(_CONTACT_SLOT))
-                amat = c.alpha_matrix(t[enter], l[enter])
-                edge[enter] = _pick_edges(amat, u)
+                redraw(enter, _CONTACT_SLOT)
                 shell_mode |= enter
             exiting = shell_mode & (x_new >= dsh)
             x_new = np.where(exiting, dsh, x_new)
             shell_mode &= ~exiting
-        else:
-            if contact.any():
-                u = _rng.uniforms(seed, path_ids[contact], base + np.uint64(_CONTACT_SLOT))
-                amat = c.alpha_matrix(t[contact], l[contact])
-                edge[contact] = _pick_edges(amat, u)
+        elif contact.any():
+            redraw(contact, _CONTACT_SLOT)
         x = x_new
         l = l + dl
         t = t + h
@@ -419,6 +330,9 @@ def run_batch(
             C[:, k + 1] = contact
             G[:, k] = g
 
+    if absorbing:
+        return FirstHitResult(theta=theta, edge=exit_edge, l=exit_l,
+                              censored=np.isnan(theta), level=stop_level)
     paths = None
     if store:
         paths = [
@@ -432,77 +346,6 @@ def run_batch(
             for p in range(n)
         ]
     return BatchResult(t=t, x=x, edge=edge, l=l, paths=paths)
-
-
-def _run_absorbing(c, cfg, K, t, x, edge, l, path_ids, seed, level):
-    n = x.size
-    h = cfg.h
-    sq = math.sqrt(h)
-    dsh = cfg.delta_shell
-    shell = cfg.policy == "shell"
-    theta = np.full(n, np.nan)
-    exit_edge = np.zeros(n, dtype=np.int64)
-    exit_l = np.full(n, np.nan)
-    done = x >= level
-    theta[done] = t[done]
-    exit_edge[done] = edge[done]
-    exit_l[done] = l[done]
-    active = np.flatnonzero(~done)
-    pending = x == 0.0
-    shell_mode = np.zeros(n, dtype=bool)
-    for k in range(K):
-        if active.size == 0:
-            break
-        base = np.uint64(_SLOTS * k)
-        ids = path_ids[active]
-        pa = pending[active]
-        if pa.any():
-            sel = active[pa]
-            u = _rng.uniforms(seed, path_ids[sel], base + np.uint64(_DEPART_SLOT))
-            amat = c.alpha_matrix(t[sel], l[sel])
-            edge[sel] = _pick_edges(amat, u)
-            if shell:
-                shell_mode[sel] = True
-            pending[sel] = False
-        g = _rng.gaussians(seed, ids, base + np.uint64(_GAUSS_SLOT))
-        ta, xa, ea, la = t[active], x[active], edge[active], l[active]
-        bv = _eval_per_edge(c, "b", ea, ta, xa, la)
-        sv = _eval_per_edge(c, "s", ea, ta, xa, la)
-        y = xa + bv * h + sv * sq * g
-        contact = y <= 0.0
-        over = np.where(contact, -y, 0.0)
-        x_new = np.where(contact, over, y)
-        dl = 2.0 * over
-        if shell:
-            enter = contact & ~shell_mode[active]
-            if enter.any():
-                sel = active[enter]
-                u = _rng.uniforms(seed, path_ids[sel], base + np.uint64(_CONTACT_SLOT))
-                amat = c.alpha_matrix(t[sel], l[sel])
-                edge[sel] = _pick_edges(amat, u)
-                shell_mode[sel] = True
-            exiting = shell_mode[active] & (x_new >= dsh)
-            x_new = np.where(exiting, dsh, x_new)
-            shell_mode[active[exiting]] = False
-        else:
-            if contact.any():
-                sel = active[contact]
-                u = _rng.uniforms(seed, path_ids[sel], base + np.uint64(_CONTACT_SLOT))
-                amat = c.alpha_matrix(t[sel], l[sel])
-                edge[sel] = _pick_edges(amat, u)
-        x[active] = x_new
-        l[active] = la + dl
-        t[active] = ta + h
-        hit = x_new >= level
-        if hit.any():
-            sel = active[hit]
-            theta[sel] = t[sel]
-            exit_edge[sel] = edge[sel]
-            exit_l[sel] = l[sel]
-            active = active[~hit]
-    censored = np.isnan(theta)
-    return FirstHitResult(theta=theta, edge=exit_edge, l=exit_l,
-                          censored=censored, level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +429,6 @@ def first_hit(c: CoefficientSet, init: SpiderState, cfg: SimConfig, level: float
         return {"theta": res.theta, "edge": res.edge, "l": res.l,
                 "censored": res.censored}
 
-    parts = map_path_blocks(max(cfg.n_paths, 1), workers, block)
+    parts = map_path_blocks(cfg.n_paths, workers, block) if cfg.n_paths else block(0, 0)
     return FirstHitResult(theta=parts["theta"], edge=parts["edge"], l=parts["l"],
                           censored=parts["censored"], level=level)

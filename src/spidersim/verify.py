@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, TestFunction, TfTerm
+from .network import CoefficientSet, TestFunction, TfTerm, per_ray
 from .simulator import (
     SimConfig,
     SpiderPath,
@@ -332,11 +332,7 @@ def ito_residual(p: SpiderPath, c: CoefficientSet, f: TestFunction) -> float:
     sq = math.sqrt(p.h)
 
     incr = _generator_terms(c, f, t_k, x_k, e_k, l_k) * p.h
-    sig = np.empty_like(x_k)
-    for e in range(1, c.I + 1):
-        m = e_k == e
-        if m.any():
-            sig[m] = c.diffusion(e, t_k[m], x_k[m], l_k[m])
+    sig = per_ray(c.I, e_k, c.diffusion, t_k, x_k, l_k)
     incr += np.asarray(f.dx(e_k, t_k, x_k, l_k), dtype=float) * sig * sq * p.gauss
     hit = dl_k > 0
     if hit.any():

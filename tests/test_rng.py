@@ -1,6 +1,6 @@
 import numpy as np
 
-from spidersim.rng import CounterStream, derive_seed, gaussians, philox4x32, uniforms
+from spidersim.rng import derive_seed, gaussians, philox4x32, uniforms
 
 
 def test_philox_known_answers():
@@ -55,9 +55,3 @@ def test_derive_seed_stable_and_distinct():
     assert s != derive_seed(124, "markov-restart")
     assert 0 <= s < 2**64
 
-
-def test_counter_stream_matches_vector_api():
-    cs = CounterStream(seed=7, stream=3)
-    vals = [cs.gaussian() for _ in range(4)]
-    want = [float(gaussians(7, np.uint64(3), np.uint64(k))) for k in range(4)]
-    assert vals == want

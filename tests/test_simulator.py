@@ -3,15 +3,12 @@ import pytest
 
 from spidersim.localtime import oracle_path
 from spidersim.network import CoefficientBounds, constant_coefficients
-from spidersim.rng import CounterStream, gaussians
+from spidersim.rng import gaussians
 from spidersim.simulator import (
-    BoundaryContact,
     SimConfig,
     SimulationError,
     SpiderState,
-    VertexPolicy,
     first_hit,
-    resolve_vertex,
     run_batch,
     simulate_batch,
     simulate_path,
@@ -23,72 +20,89 @@ def _c(I=2, sigma=1.0, b=0.0, alpha=None):
     return constant_coefficients(I, sigma=sigma, b=b, alpha=alpha)
 
 
-def test_step_interior_zero_noise():
-    from spidersim.simulator import step_interior
-    out = step_interior(SpiderState(0.0, 1.0, 1, 0.0), _c(), 0.01, 0.0)
-    assert out == SpiderState(0.01, 1.0, 1, 0.0)
+def _one_step(c, x0, g, t0=0.0, l0=0.0, **kw):
+    """One reflection-policy step of size 0.01 per path, driven by the
+    injected gaussians g."""
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    cfg = SimConfig(h=0.01, T=t0 + 0.01, seed=11)
+    return run_batch(c, cfg, K=1, t0=t0, x0=x0, edge0=1, l0=l0,
+                     path_ids=np.arange(g.size, dtype=np.uint64),
+                     gaussians=g[:, None], **kw)
 
 
-def test_step_interior_pure_drift():
-    from spidersim.simulator import step_interior
-    c = _c(b=2.0)
-    out = step_interior(SpiderState(0.0, 1.0, 1, 0.0), c, 0.01, 0.0)
-    assert out.x == pytest.approx(1.02)
-    assert out.l == 0.0
+def test_run_batch_zero_noise():
+    res = _one_step(_c(), 1.0, 0.0)
+    assert (res.t[0], res.x[0], res.edge[0], res.l[0]) == (0.01, 1.0, 1, 0.0)
 
 
-def test_step_interior_boundary_contact_flag():
-    from spidersim.simulator import step_interior
-    c = _c()
-    out = step_interior(SpiderState(0.0, 0.001, 1, 0.0), c, 0.01, -3.0)
-    assert isinstance(out, BoundaryContact)
-    assert out.proposal == pytest.approx(-0.299)
+def test_run_batch_pure_drift():
+    res = _one_step(_c(b=2.0), 1.0, 0.0)
+    assert res.x[0] == 1.0 + 2.0 * 0.01
+    assert res.l[0] == 0.0
 
 
-def test_step_interior_requires_interior_state():
-    from spidersim.simulator import step_interior
-    with pytest.raises(SimulationError):
-        step_interior(SpiderState(0.0, 0.0, 1, 0.0), _c(), 0.01, 0.0)
-    with pytest.raises(SimulationError):
-        step_interior(SpiderState(0.0, 1.0, 1, 0.0), _c(), 0.01, float("nan"))
+def test_run_batch_contact_step():
+    # proposal y = 0.001 - 0.3 < 0: placed at -y, local time booked 2*(-y)
+    p = _one_step(_c(), 0.001, -3.0, store=True).paths[0]
+    y = 0.001 + np.sqrt(0.01) * -3.0
+    assert p.contact.tolist() == [False, True]
+    assert p.x[1] == -y
+    assert p.l[1] == -2.0 * y
 
 
-def test_resolve_vertex_reflection_accrual_and_edge_law():
-    # symmetric placement at -y; the booked local time is twice the
-    # overshoot so that the discrete decomposition carries a single dl
-    c = _c()
-    policy = VertexPolicy("reflection", delta_shell=1e-3, h=0.01)
-    contact = BoundaryContact(t=0.5, proposal=-0.05, i=1, l=0.2, h=0.01)
-    counts = np.zeros(3)
-    for k in range(4000):
-        out = resolve_vertex(contact, c, policy, CounterStream(seed=11, stream=k))
-        counts[out.i] += 1
-    assert out.t == pytest.approx(0.51)
-    assert out.x == pytest.approx(0.05)
-    assert out.l == pytest.approx(0.30)
-    freq = counts[1:] / 4000
-    assert np.all(np.abs(freq - 0.5) < 3 * np.sqrt(0.25 / 4000))
+def test_run_batch_contact_accrual_and_ray_frequencies():
+    # every path proposes y = -0.05 from t = 0.5, l = 0.2; the ray is drawn
+    # from alpha at the pre-contact (t, l)
+    n = 4000
+    alpha = np.array([0.5, 0.3, 0.2])
+    res = _one_step(_c(I=3, alpha=alpha), 0.05, np.full(n, -1.0), t0=0.5, l0=0.2)
+    assert np.allclose(res.t, 0.51)
+    assert np.allclose(res.x, 0.05)
+    assert np.allclose(res.l, 0.30)
+    freq = np.bincount(res.edge, minlength=4)[1:] / n
+    assert np.all(np.abs(freq - alpha) < 3 * np.sqrt(alpha * (1 - alpha) / n))
 
 
-def test_resolve_vertex_shell_mean_accrual():
-    # driftless unit diffusion: booked local time per shell passage tends
-    # to the shell radius
-    c = _c()
+def test_shell_passage_mean_accrual():
+    # driftless unit diffusion: the local time booked per shell passage
+    # (junction to delta_shell, stopped there) tends to the shell radius
     dsh = 0.05
     h = dsh**2 / 40.0
-    policy = VertexPolicy("shell", delta_shell=dsh, h=h)
-    tot_l = 0.0
-    tot_t = 0.0
     n = 1500
-    for k in range(n):
-        contact = BoundaryContact(t=0.0, proposal=-1e-9, i=1, l=0.0, h=h)
-        out = resolve_vertex(contact, c, policy, CounterStream(seed=5, stream=k))
-        assert out.x == dsh
-        tot_l += out.l
-        tot_t += out.t
-    ratio = tot_l / n / dsh
-    assert 0.9 < ratio < 1.25
-    assert tot_t / n > h  # excursions span multiple steps
+    cfg = SimConfig(h=h, T=2000 * h, delta_shell=dsh, policy="shell", seed=5)
+    fh = run_batch(_c(), cfg, K=2000, t0=0.0, x0=0.0, edge0=1, l0=0.0,
+                   path_ids=np.arange(n, dtype=np.uint64), stop_level=dsh)
+    assert not fh.censored.any()
+    assert 0.9 < fh.l.mean() / dsh < 1.25
+    assert fh.theta.mean() > h  # excursions span multiple steps
+
+
+def test_run_batch_rejects_nan_gaussian():
+    with pytest.raises(SimulationError, match="non-finite"):
+        _one_step(_c(), 1.0, np.nan)
+    with pytest.raises(SimulationError, match="non-finite"):
+        _one_step(_c(), 1.0, np.nan, stop_level=2.0)
+
+
+def test_first_hit_rejects_nan_drift():
+    cfg = SimConfig(h=1e-3, T=0.02, n_paths=20, seed=3)
+    with pytest.raises(SimulationError, match="non-finite"):
+        first_hit(_c(b=np.nan), SpiderState(0.0, 0.0, 1, 0.0), cfg, 0.5)
+
+
+def test_nan_states_rejected():
+    for x, l in ((np.nan, 0.0), (0.0, np.nan)):
+        with pytest.raises(SimulationError, match="invalid state"):
+            SpiderState(0.0, x, 1, l)
+        with pytest.raises(SimulationError, match="invalid initial"):
+            run_batch(_c(), SimConfig(h=0.01, T=0.1), K=2, t0=0.0, x0=x, edge0=1, l0=l)
+
+
+def test_first_hit_empty_batch():
+    fh = first_hit(_c(), SpiderState(0.0, 0.0, 1, 0.0),
+                   SimConfig(h=1e-2, T=0.1, n_paths=0, seed=1), 0.5)
+    assert fh.n == 0
+    assert fh.edge.dtype == np.int64 and fh.censored.dtype == bool
 
 
 def test_path_invariants_both_policies():
