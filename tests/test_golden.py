@@ -1,15 +1,22 @@
-"""Golden outputs of the Euler kernel, pinned as literal values.
+"""Golden outputs of the Euler kernel and of the evaluators built on it,
+pinned as literal values.
 
-The values were recorded from the kernel before fixed-horizon and absorption
-mode were merged into one loop; any refactor of the step must reproduce
-them.  Floats are compared at 1e-12 relative (not as byte digests, so other
-CPUs and numpy builds pass too), integer and bool arrays exactly.
+The kernel values were recorded before fixed-horizon and absorption mode
+were merged into one loop; the PDE, Feynman-Kac and residual values before
+the ray generator and the vertex operator were written once.  Any refactor
+must reproduce them.  Floats are compared at 1e-12 relative (not as byte
+digests, so other CPUs and numpy builds pass too), integer and bool arrays
+exactly.
 """
 
 import numpy as np
 
-from spidersim.network import CoefficientBounds, CoefficientSet
+from spidersim.coeffexpr import build_coefficient_set
+from spidersim.feynman_kac import FKProblem, fk_estimate
+from spidersim.network import CoefficientBounds, CoefficientSet, TestFunction, TfTerm
+from spidersim.pde import PdeGrid, PdeSolution, flat_profile_poly, manufactured_backward, residual, solve
 from spidersim.simulator import SimConfig, SpiderState, first_hit, run_batch, simulate_batch, simulate_path
+from spidersim.verify import ito_residual, make_battery, martingale_residual, martingale_residual_paths
 
 RTOL = 1e-12
 N = 8
@@ -69,6 +76,38 @@ def _stored_path(c):
     return simulate_path(c, SpiderState(0.0, 0.0, 1, 0.0), cfg, path_index=3)
 
 
+def _manufactured():
+    """The manufactured backward problem of test_pde (weights 1 + l : 1)."""
+    R = K = 2.0
+    c = build_coefficient_set({
+        "I": 2, "b": ["0", "0"], "sigma": ["1", "1"],
+        "alpha": {"exprs": ["1 + l", "1"], "mode": "renormalize"},
+        "bounds": {"a_lower": 0.15, "sigma_lower": 0.5, "b_bound": 1.0,
+                   "sigma_bound": 1.0, "alpha_lip": 1.0},
+    })
+    truth = TestFunction(I=2, terms=(
+        TfTerm(edge_coeffs=(1.0, -0.5), x_poly=flat_profile_poly(R, 1),
+               l_poly=(1.0, 0.3), time_poly=(1.0, -0.4)),
+        TfTerm(edge_coeffs=(0.4, 0.4), x_poly=flat_profile_poly(R, 2),
+               l_poly=(0.5, 0.0, 0.1), sin_omega=1.3, sin_phase=0.4),
+        TfTerm(edge_coeffs=(1.0, 1.0), x_poly=(1.0,), l_poly=(0.2, 0.5),
+               time_poly=(0.5, 0.2)),
+    ))
+    return c, truth, manufactured_backward(c, truth, 1.0, R, K)
+
+
+def _expression_coefficients():
+    """Three rays built from config expressions in (t, x, l)."""
+    return build_coefficient_set({
+        "I": 3,
+        "b": ["0.3*tanh(x) - 0.1*l", "-0.2", "0.1*sin(t)"],
+        "sigma": ["1 + 0.2*sin(t)", "1.2", "0.8 + 0.1*tanh(l)"],
+        "alpha": {"exprs": ["1 + tanh(l)", "1", "1 + 0.5*sin(t)"], "mode": "renormalize"},
+        "bounds": {"a_lower": 0.1, "sigma_lower": 0.5, "b_bound": 2.0,
+                   "sigma_bound": 1.5, "alpha_lip": 1.0},
+    })
+
+
 def _check(actual, expected):
     actual = np.asarray(actual)
     expected = np.asarray(expected, dtype=actual.dtype)
@@ -101,6 +140,41 @@ def test_stored_path():
     p = _stored_path(_coefficients())
     for key, e in PATH.items():
         _check(getattr(p, key), e)
+
+
+def test_pde_manufactured_solution_and_residual():
+    c, truth, prob = _manufactured()
+    grid = PdeGrid(16, 16, 8)
+    sol = solve(prob, grid)
+    _check(sol.values[:, ::8, ::4, ::4].ravel(), PDE["values"])
+    assert max(residual(sol).values()) < 1e-12
+    tg, xg, lg = grid.axes(prob)
+    TT, XX, LL = np.meshgrid(tg, xg, lg, indexing="ij")
+    exact = np.stack([truth.value(e, TT, XX, LL) for e in (1, 2)])
+    r = residual(PdeSolution(values=exact, grid=grid, problem=prob))
+    _check([r[k] for k in sorted(r)], PDE["truncation"])
+
+
+def test_fk_estimate_on_manufactured_sources():
+    c, _, prob = _manufactured()
+    fkp = FKProblem(g_edge=prob.g_edge, h_edge=prob.h_edge, h0=prob.h0)
+    est = fk_estimate(fkp, c, (0.8, 0.7, 2, 0.3), SimConfig(h=1e-2, T=1.0, n_paths=200, seed=5))
+    _check([est.mean, est.stderr], PDE["fk"])
+
+
+def test_battery_residuals_on_expression_coefficients():
+    c = _expression_coefficients()
+    battery = make_battery(3)
+    rep = martingale_residual(c, SpiderState(0.0, 0.0, 1, 0.0),
+                              SimConfig(h=1e-3, T=0.05, n_paths=40, seed=9), battery, 0.01, 0.04)
+    _check(rep.estimates["mean"], BATTERY["martingale_mean"])
+    _check(rep.stderr["mean"], BATTERY["martingale_stderr"])
+    p = simulate_path(c, SpiderState(0.0, 0.0, 2, 0.1), SimConfig(h=1e-3, T=0.05, seed=13),
+                      path_index=1)
+    assert p.contact.any()  # the vertex terms take part
+    _check([ito_residual(p, c, f) for f in battery], BATTERY["ito"])
+    _check([martingale_residual_paths([p], c, f, 0.0, 0.05)[0] for f in battery],
+           BATTERY["paths"])
 
 
 nan = float("nan")
@@ -145,4 +219,36 @@ PATH = {
     "l": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.07696760938562891, 0.07696760938562891, 0.07696760938562891, 0.07696760938562891],
     "contact": [False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, True, False, False, False],
     "gauss": [0.6700310612911672, 1.630829647998178, -1.4538032131824128, 0.6067902739138634, 0.1475699688744502, 0.1964060204275193, 2.0674071713231505, 0.721117061795941, -0.24678245683149044, 1.3839063465618884, 0.6453103271175342, 1.0650287162450949, -0.14063282557983794, -2.1270106448081427, -0.7121254212180382, 0.9872504000055905, 0.5287244335194363, 0.41851408208840324, 0.16327172310456012, -0.801665019225615, -0.6475950345078848, -1.8730628792113464, -0.18910089805127744, 0.16536298752050535, 0.9086946899992437, -0.24287486519117496, -0.03936114053039663, -0.3868585904856498, -1.189696566593552, 0.3113846567036925, -0.8319066589748803, 0.1010858999059335, 0.5442291288508316, -1.685163804419943, 0.020507905205573895, -0.3910566206086373, -1.0463524782864573, 0.7649770990065186, -0.1492836863897511, -0.15167969790146296],
+}
+
+PDE = {
+    # solve(...).values[:, ::8, ::4, ::4].ravel() on PdeGrid(16, 16, 8)
+    "values": [0.10008489105872374, 0.34532941508755277, 0.6, 0.5537400481979707, 0.9355640359080476,
+               1.3292063756731487, 0.8985647721401698, 1.3820700512731587, 1.8934604021540764, 1.1187800647720008,
+               1.665795725594155, 2.2577144286350035, 1.1965112146771684, 1.765523608244432, 2.3869208043081525,
+               0.12709807776988336, 0.42436267763932406, 0.72, 0.507868273384043, 0.9189785980761834,
+               1.3450567419195512, 0.8333498380606964, 1.335620244924529, 1.8881815741425643, 1.0605318030266127,
+               1.6235473881503322, 2.271306406365577, 1.1461417450462499, 1.731337266092337, 2.4163631482851287,
+               0.13999999999999999, 0.48999999999999994, 0.84, 0.44381936710218617, 0.8808332405226234,
+               1.3343748607839352, 0.7222219747269958, 1.233666369672395, 1.7979995545085927, 0.9256245823518054,
+               1.4889994988221664, 2.1416242482332497, 1.0044439494539916, 1.58733273934479, 2.2759991090171847,
+               0.10008489105872374, 0.34532941508755277, 0.6, -0.1025099518020294, 0.0824390359080475,
+               0.27920637567314877, -0.22643522785983053, -0.08042994872684148, 0.09346040215407603, -0.28746993522799924,
+               -0.16232927440584466, 0.00771442863500349, -0.30348878532283136, -0.18447639175556746, -0.01307919569184779,
+               0.12709807776988336, 0.42436267763932406, 0.72, -0.017131726615957174, 0.23647859807618357,
+               0.5050567419195513, -0.06665016193930383, 0.16562024492452904, 0.448181574142564, -0.06446819697338735,
+               0.1610473881503325, 0.4713064063655768, -0.053858254953749775, 0.17133726609233715, 0.49636314828512806,
+               0.13999999999999999, 0.48999999999999994, 0.84, 0.05006936710218618, 0.3689582405226234,
+               0.7043748607839351, 0.04722197472699585, 0.3561663696723949, 0.7179995545085924, 0.08187458235180542,
+               0.3921244988221665, 0.7916242482332498, 0.10444394945399169, 0.4173327393447899, 0.835999109017185],
+    # residual() of the exact solution sampled on the grid, keys sorted
+    "truncation": [0.008639078572603853, 0.022449787377822328, 0.011495859706327466, 0.020717308127160883],
+    "fk": [0.08369719036284952, 0.0022265608684379503],
+}
+
+BATTERY = {
+    "martingale_mean": [-0.01119901304812898, -0.01225442784420352, 0.004287218209539874, -0.002805600733651359, -0.006531922322529292],
+    "martingale_stderr": [0.0291652970047742, 0.006925660587508741, 0.00460288639537903, 0.01159002575693733, 0.017013721591758776],
+    "ito": [0.0050058985213069646, 0.0018179830166113742, 0.00972230325901458, 0.003073428763832056, 0.0032912900628441315],
+    "paths": [-0.019671462753189442, 0.0433299891550111, 0.024200994822249855, -0.016152543373905287, -0.020290331541035253],
 }
