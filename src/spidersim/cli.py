@@ -141,6 +141,7 @@ def _write_report(path: Path, name: str, params: dict, report: dict, chash: str,
 
 
 def _expr_fn(src: str, where: str, variables: tuple[str, ...]):
+    """Compiled expression, called with ``variables`` in that order."""
     try:
         ast = parse_expr(src)
     except CoeffExprError as exc:
@@ -148,7 +149,7 @@ def _expr_fn(src: str, where: str, variables: tuple[str, ...]):
     extra = coeffexpr.variables(ast) - set(variables)
     if extra:
         raise CliConfigError(f"{where} may use only {variables}, found {sorted(extra)}")
-    return ast
+    return coeffexpr._compile(ast, variables)
 
 
 def _edge_exprs(block, key: str, I: int, variables: tuple[str, ...]):
@@ -159,7 +160,7 @@ def _edge_exprs(block, key: str, I: int, variables: tuple[str, ...]):
         raw = [raw] * I
     if len(raw) != I:
         raise CliConfigError(f"{key} needs {I} expressions")
-    return [_expr_fn(s, f"{key}[{i}]", variables) for i, s in enumerate(raw)]
+    return tuple(_expr_fn(s, f"{key}[{i}]", variables) for i, s in enumerate(raw))
 
 
 def _fk_problem(cfg: dict, I: int) -> FKProblem:
@@ -167,22 +168,13 @@ def _fk_problem(cfg: dict, I: int) -> FKProblem:
     if block is None:
         raise CliConfigError("missing 'fk' block")
     _require_keys(block, {"g", "h", "h0", "h_bound", "queries", "n_paths"}, "fk")
-    g_asts = _edge_exprs(block, "g", I, ("x", "l"))
-    if g_asts is None:
+    g_edge = _edge_exprs(block, "g", I, ("x", "l"))
+    if g_edge is None:
         raise CliConfigError("fk.g is required")
-    h_asts = _edge_exprs(block, "h", I, ("t", "x", "l"))
-    h0_ast = _expr_fn(block["h0"], "fk.h0", ("t", "l")) if "h0" in block else None
-
-    def g_fn(ast):
-        return lambda x, l, _a=ast: coeffexpr.evaluate(_a, 0.0, x, l)
-
-    def h_fn(ast):
-        return lambda t, x, l, _a=ast: coeffexpr.evaluate(_a, t, x, l)
-
     return FKProblem(
-        g_edge=tuple(g_fn(a) for a in g_asts),
-        h_edge=None if h_asts is None else tuple(h_fn(a) for a in h_asts),
-        h0=None if h0_ast is None else (lambda t, l, _a=h0_ast: coeffexpr.evaluate(_a, t, 0.0, l)),
+        g_edge=g_edge,
+        h_edge=_edge_exprs(block, "h", I, ("t", "x", "l")),
+        h0=_expr_fn(block["h0"], "fk.h0", ("t", "l")) if "h0" in block else None,
         h_bound=_num(block, "h_bound", "fk", default=10.0, lo=0.0),
     )
 
@@ -199,7 +191,7 @@ def _queries(block, where: str) -> list[tuple]:
     return out
 
 
-def _pde_problem(cfg: dict, c, chash: str) -> tuple[PdeProblem, PdeGrid]:
+def _pde_problem(cfg: dict, c) -> tuple[PdeProblem, PdeGrid]:
     block = cfg.get("pde")
     if block is None:
         raise CliConfigError("missing 'pde' block")
@@ -213,34 +205,29 @@ def _pde_problem(cfg: dict, c, chash: str) -> tuple[PdeProblem, PdeGrid]:
         J=_num(grid_cfg, "J", "pde.grid", lo=2, integer=True),
         P=_num(grid_cfg, "P", "pde.grid", lo=2, integer=True),
     )
-    g_asts = _edge_exprs(block, "g", I, ("x", "l"))
-    if g_asts is None:
+    g_edge = _edge_exprs(block, "g", I, ("x", "l"))
+    if g_edge is None:
         raise CliConfigError("pde.g is required")
-    h_asts = _edge_exprs(block, "h", I, ("t", "x", "l"))
-    c_asts = _edge_exprs(block, "c", I, ("t", "x", "l"))
-    psi_asts = _edge_exprs(block, "psi", I, ("t", "x"))
-    h0_ast = _expr_fn(block["h0"], "pde.h0", ("t", "l")) if "h0" in block else None
+    h_edge = _edge_exprs(block, "h", I, ("t", "x", "l"))
+    c_edge = _edge_exprs(block, "c", I, ("t", "x", "l"))
+    psi_edge = _edge_exprs(block, "psi", I, ("t", "x"))
+    h0 = _expr_fn(block["h0"], "pde.h0", ("t", "l")) if "h0" in block else None
     T = _num({"T": cfg["sim"]["T"]}, "T", "sim", lo=1e-12) if "sim" in cfg else None
     if T is None:
         raise CliConfigError("pde runs take the horizon from sim.T")
 
-    def tri(ast):
-        return lambda t, x, l, _a=ast: coeffexpr.evaluate(_a, t, x, l)
-
-    problem = PdeProblem(
+    return PdeProblem(
         coefficients=c,
         T=T,
         R=_num(block, "R", "pde", lo=1e-12),
         K=_num(block, "K", "pde", lo=1e-12),
-        g_edge=tuple((lambda x, l, _a=a: coeffexpr.evaluate(_a, 0.0, x, l)) for a in g_asts),
-        h_edge=None if h_asts is None else tuple(tri(a) for a in h_asts),
-        h0=None if h0_ast is None else (lambda t, l, _a=h0_ast: coeffexpr.evaluate(_a, t, 0.0, l)),
-        c_edge=None if c_asts is None else tuple(tri(a) for a in c_asts),
-        psi_edge=None if psi_asts is None else tuple(
-            (lambda t, x, _a=a: coeffexpr.evaluate(_a, t, x, 0.0)) for a in psi_asts),
+        g_edge=g_edge,
+        h_edge=h_edge,
+        h0=h0,
+        c_edge=c_edge,
+        psi_edge=psi_edge,
         direction=block.get("direction", "backward"),
-    )
-    return problem, grid
+    ), grid
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +409,7 @@ def _run_localtime(cfg, c, sim, out, chash, workers):
 
 
 def _run_pde(cfg, c, sim, out, chash, workers):
-    problem, grid = _pde_problem(cfg, c, chash)
+    problem, grid = _pde_problem(cfg, c)
     sol = pde_solve(problem, grid)
     res = pde_residual(sol)
     ok = res["interior_max"] <= 1e-8 and res["vertex_max"] <= 1e-8

@@ -388,9 +388,11 @@ def evaluate(node: Expr, t=0.0, x=0.0, l=0.0):
     return np.broadcast_to(np.asarray(out, dtype=np.float64), shape).copy() if shape else float(out)
 
 
-def _compile(node: Expr):
-    def fn(t, x, l, _node=node):
-        return evaluate(_node, t, x, l)
+def _compile(node: Expr, names: tuple[str, ...] = _VARIABLES):
+    """Callable of the variables ``names``, in that order; the others are 0.0.
+    Calls ``evaluate`` through the module global, where wrappers see it."""
+    def fn(*args):
+        return evaluate(node, **dict(zip(names, args)))
     return fn
 
 

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, TestFunction
+from .network import CoefficientSet, TestFunction, per_ray
 from .simulator import SpiderPath
 
 __all__ = [
@@ -158,6 +158,24 @@ def excursion_functional(p: SpiderPath, f: TestFunction, eps: float, t: float) -
     return total
 
 
+def _edge_subset(c: CoefficientSet, edges: Iterable[int] | None) -> tuple[int, ...]:
+    subset = tuple(sorted(set(range(1, c.I + 1) if edges is None else (int(e) for e in edges))))
+    if not subset or any(e < 1 or e > c.I for e in subset):
+        raise EstimationError(f"edge subset {subset} invalid for I={c.I}")
+    return subset
+
+
+def _shell_integrand(c: CoefficientSet, subset: tuple[int, ...], eps: float, t, x, edge, l):
+    """Indices of the rows inside the eps-shell on a selected ray, in order,
+    and sigma_i^2(t, 0, l) on them."""
+    selected = np.zeros(c.I + 1, dtype=bool)
+    selected[list(subset)] = True
+    rows = np.flatnonzero(x <= eps)
+    rows = rows[selected[edge[rows]]]
+    sig = per_ray(c.I, edge[rows], c.diffusion, t[rows], np.zeros(rows.size), l[rows])
+    return rows, sig**2
+
+
 def occupation_estimate(p: SpiderPath, c: CoefficientSet, eps: float, t: float,
                         edges: Iterable[int] | None = None) -> LocalTimeEstimate:
     """Shell occupation integral (1/2 eps) sum_j int sigma_j^2(s,0,l) 1{x<=eps, i=j} ds.
@@ -167,21 +185,12 @@ def occupation_estimate(p: SpiderPath, c: CoefficientSet, eps: float, t: float,
     """
     if eps <= 0:
         raise EstimationError("eps must be positive")
-    subset = tuple(sorted(set(range(1, c.I + 1) if edges is None else (int(e) for e in edges))))
-    if not subset or any(e < 1 or e > c.I for e in subset):
-        raise EstimationError(f"edge subset {subset} invalid for I={c.I}")
+    subset = _edge_subset(c, edges)
     idx = grid_index(p, t)
-    times = p.times()[:idx]
-    xk = p.x[:idx]
-    ek = p.edge[:idx]
-    lk = p.l[:idx]
+    grid = (p.times()[:idx], p.x[:idx], p.edge[:idx], p.l[:idx])
     total = 0.0
-    inside = xk <= eps
-    for e in subset:
-        m = inside & (ek == e)
-        if m.any():
-            sig = np.asarray(c.diffusion(e, times[m], np.zeros(int(m.sum())), lk[m]))
-            total += float(np.sum(sig**2)) * p.h
+    for e in subset:  # one sum per ray, in ray order
+        total += float(np.sum(_shell_integrand(c, (e,), eps, *grid)[1])) * p.h
     return LocalTimeEstimate(
         method="occupation", value=total / (2.0 * eps), eps=eps, t=t,
         meta={"edges": subset},
@@ -198,28 +207,21 @@ def occupation_batch(c: CoefficientSet, init, cfg, eps: float,
     """
     from .simulator import map_path_blocks, run_batch  # local import, cycle-free
 
-    subset = tuple(sorted(set(range(1, c.I + 1) if edges is None else (int(e) for e in edges))))
-    if not subset or any(e < 1 or e > c.I for e in subset):
-        raise EstimationError(f"edge subset {subset} invalid for I={c.I}")
+    subset = _edge_subset(c, edges)
     K = cfg.n_steps(init.t)
 
     def block(lo, hi):
         acc = np.zeros(hi - lo)
 
         def on_step(k, t, x, edge, l, dl, contact):
-            inside = x <= eps
-            for e in subset:
-                m = inside & (edge == e)
-                if m.any():
-                    sig = np.asarray(c.diffusion(e, t[m], np.zeros(int(m.sum())), l[m]))
-                    acc[m] += sig**2 * cfg.h
-            return None
+            rows, sig2 = _shell_integrand(c, subset, eps, t, x, edge, l)
+            acc[rows] += sig2 * cfg.h
 
         run_batch(c, cfg, K=K, t0=init.t, x0=init.x, edge0=init.i, l0=init.l,
                   path_ids=np.arange(lo, hi, dtype=np.uint64), on_step=on_step)
         return {"occ": acc / (2.0 * eps)}
 
-    return map_path_blocks(cfg.n_paths, workers, block)["occ"]
+    return map_path_blocks(cfg.n_paths, workers, block).get("occ", np.zeros(0))
 
 
 def skorokhod_oracle(gaussians: np.ndarray, h: float, T: float,

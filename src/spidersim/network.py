@@ -26,6 +26,8 @@ __all__ = [
     "TfTerm",
     "distance",
     "per_ray",
+    "generator",
+    "vertex_operator",
     "validate_coefficients",
     "constant_coefficients",
 ]
@@ -179,8 +181,8 @@ def constant_coefficients(
     al = np.asarray(alpha, dtype=float)
     if al.shape != (I,):
         raise NetworkError(f"alpha must have length {I}")
-    if abs(al.sum() - 1.0) > 1e-12:
-        raise NetworkError("alpha must sum to 1")
+    if abs(al.sum() - 1.0) > 1e-12 or not np.all(al >= 0):
+        raise NetworkError("alpha must be nonnegative and sum to 1")
     if bounds is None:
         bounds = CoefficientBounds(
             a_lower=max(min(al) * 0.9, 1e-9),
@@ -397,16 +399,19 @@ class TfTerm:
             raise NetworkError("term takes either time_poly or sin_omega, not both")
         if len(set(self.edge_coeffs)) > 1 and self.x_poly[0] != 0.0:
             raise NetworkError("edge-dependent term must vanish at the vertex (x_poly[0] == 0)")
-
-    def _tau(self, t):
+        # derivative polynomials, indexed by derivative order
+        dx1 = _poly_der(self.x_poly)
+        object.__setattr__(self, "_weights", np.asarray(self.edge_coeffs, dtype=np.float64))
+        object.__setattr__(self, "_x_ders", (self.x_poly, dx1, _poly_der(dx1)))
+        object.__setattr__(self, "_l_ders", (self.l_poly, _poly_der(self.l_poly)))
         if self.time_poly is not None:
-            return _poly_val(self.time_poly, t)
-        return np.sin(self.sin_omega * np.asarray(t, dtype=np.float64) + self.sin_phase)
+            object.__setattr__(self, "_t_ders", (self.time_poly, _poly_der(self.time_poly)))
 
-    def _dtau(self, t):
+    def _tau(self, t, order: int = 0):
         if self.time_poly is not None:
-            return _poly_val(_poly_der(self.time_poly), t)
-        return self.sin_omega * np.cos(self.sin_omega * np.asarray(t, dtype=np.float64) + self.sin_phase)
+            return _poly_val(self._t_ders[order], t)
+        phase = self.sin_omega * np.asarray(t, dtype=np.float64) + self.sin_phase
+        return self.sin_omega * np.cos(phase) if order else np.sin(phase)
 
 
 @dataclass(frozen=True)
@@ -428,43 +433,30 @@ class TestFunction:
             if len(term.edge_coeffs) != self.I:
                 raise NetworkError("every term needs one coefficient per edge")
 
-    def _acc(self, edge, t, x, l, px_fn, pl_fn, tau_fn):
+    def _acc(self, edge, t, x, l, dt: int = 0, dx: int = 0, dl: int = 0):
+        """Sum over the terms of the given partial derivative (orders in t, x, l)."""
         edge = np.asarray(edge)
         out = 0.0
         for term in self.terms:
-            w = np.asarray(term.edge_coeffs, dtype=np.float64)[edge - 1]
-            out = out + w * px_fn(term, x) * pl_fn(term, l) * tau_fn(term, t)
+            w = term._weights[edge - 1]
+            out = out + (w * _poly_val(term._x_ders[dx], x) * _poly_val(term._l_ders[dl], l)
+                         * term._tau(t, dt))
         return out
 
     def value(self, edge, t, x, l):
-        return self._acc(edge, t, x, l,
-                         lambda tm, z: _poly_val(tm.x_poly, z),
-                         lambda tm, z: _poly_val(tm.l_poly, z),
-                         lambda tm, z: tm._tau(z))
+        return self._acc(edge, t, x, l)
 
     def dt(self, edge, t, x, l):
-        return self._acc(edge, t, x, l,
-                         lambda tm, z: _poly_val(tm.x_poly, z),
-                         lambda tm, z: _poly_val(tm.l_poly, z),
-                         lambda tm, z: tm._dtau(z))
+        return self._acc(edge, t, x, l, dt=1)
 
     def dx(self, edge, t, x, l):
-        return self._acc(edge, t, x, l,
-                         lambda tm, z: _poly_val(_poly_der(tm.x_poly), z),
-                         lambda tm, z: _poly_val(tm.l_poly, z),
-                         lambda tm, z: tm._tau(z))
+        return self._acc(edge, t, x, l, dx=1)
 
     def dxx(self, edge, t, x, l):
-        return self._acc(edge, t, x, l,
-                         lambda tm, z: _poly_val(_poly_der(_poly_der(tm.x_poly)), z),
-                         lambda tm, z: _poly_val(tm.l_poly, z),
-                         lambda tm, z: tm._tau(z))
+        return self._acc(edge, t, x, l, dx=2)
 
     def dl(self, edge, t, x, l):
-        return self._acc(edge, t, x, l,
-                         lambda tm, z: _poly_val(tm.x_poly, z),
-                         lambda tm, z: _poly_val(_poly_der(tm.l_poly), z),
-                         lambda tm, z: tm._tau(z))
+        return self._acc(edge, t, x, l, dl=1)
 
     # vertex views (edge-independent where the class guarantees it)
 
@@ -490,18 +482,35 @@ class TestFunction:
         x = rng.uniform(0.1, 2.0, n)
         l = rng.uniform(0.1, 2.0, n)
         e = rng.integers(1, self.I + 1, n)
-        worst = 0.0
-        pairs = [
-            (self.dt, lambda s: self.value(e, t + s, x, l)),
-            (self.dx, lambda s: self.value(e, t, x + s, l)),
-            (self.dl, lambda s: self.value(e, t, x, l + s)),
-        ]
-        for der, bump in pairs:
-            fd = (bump(step) - bump(-step)) / (2 * step)
-            worst = max(worst, float(np.max(np.abs(der(e, t, x, l) - fd))))
+        gaps = (
+            (self.dt(e, t, x, l), self.value(e, t + step, x, l) - self.value(e, t - step, x, l)),
+            (self.dx(e, t, x, l), self.value(e, t, x + step, l) - self.value(e, t, x - step, l)),
+            (self.dl(e, t, x, l), self.value(e, t, x, l + step) - self.value(e, t, x, l - step)),
+        )
+        worst = max(float(np.max(np.abs(der - diff / (2 * step)))) for der, diff in gaps)
         fd2 = (self.value(e, t, x + step, l) - 2 * self.value(e, t, x, l)
                + self.value(e, t, x - step, l)) / step**2
         worst = max(worst, float(np.max(np.abs(self.dxx(e, t, x, l) - fd2))))
         if worst > tol:
             raise NetworkError(f"analytic derivatives disagree with finite differences by {worst}")
         return worst
+
+
+def generator(c: CoefficientSet, f: TestFunction, edge: int, t, x, l):
+    """Ray generator f_t + (1/2) sigma_i^2 f_xx + b_i f_x of f on ray i = edge."""
+    return ((f.dt(edge, t, x, l) + 0.5 * c.diffusion(edge, t, x, l)**2 * f.dxx(edge, t, x, l))
+            + c.drift(edge, t, x, l) * f.dx(edge, t, x, l))
+
+
+def vertex_operator(c: CoefficientSet, f: TestFunction, t, l):
+    """Vertex operator f_l + sum_i alpha_i(t, l) d/dx f_i at the junction.
+
+    t and l broadcast against each other; a scalar pair gives a float.
+    """
+    t, l = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(l, dtype=float))
+    tt, ll = t.ravel(), l.ravel()
+    amat = c.alpha_matrix(tt, ll)
+    out = f.dl_vertex(tt, ll).astype(float)
+    for e in range(1, c.I + 1):
+        out += amat[:, e - 1] * f.dx_vertex(e, tt, ll)
+    return out.reshape(t.shape) if t.shape else float(out[0])

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .network import CoefficientSet, TestFunction
+from .network import CoefficientSet, TestFunction, generator, vertex_operator
 
 __all__ = [
     "PdeProblem",
@@ -304,10 +304,6 @@ def solve(problem: PdeProblem, grid: PdeGrid) -> PdeSolution:
             for e in range(I):
                 U[e, m, 0, p] = v
                 U[e, m, 1:, p] = np.asarray(ws[e]) + v * np.asarray(zs[e])
-
-        if top_slice and problem.psi_edge is None:
-            # the flux closure above produced the whole slice; nothing else to do
-            pass
     return PdeSolution(values=U, grid=grid, problem=problem, warnings=warnings)
 
 
@@ -388,22 +384,11 @@ def manufactured_backward(c: CoefficientSet, truth: TestFunction, T: float,
 
     def h_for(e):
         def h(t, x, l, _e=e):
-            return -(truth.dt(_e, t, x, l)
-                     + 0.5 * np.asarray(c.diffusion(_e, t, x, l))**2 * truth.dxx(_e, t, x, l)
-                     + np.asarray(c.drift(_e, t, x, l)) * truth.dx(_e, t, x, l))
+            return -generator(c, truth, _e, t, x, l)
         return h
 
     def h0(t, l):
-        t = np.asarray(t, dtype=float)
-        l = np.asarray(l, dtype=float)
-        shape = np.broadcast_shapes(t.shape, l.shape)
-        tt = np.broadcast_to(t, shape).ravel()
-        ll = np.broadcast_to(l, shape).ravel()
-        amat = c.alpha_matrix(tt, ll)
-        out = truth.dl_vertex(tt, ll).astype(float).copy()
-        for e in range(1, I + 1):
-            out += amat[:, e - 1] * truth.dx_vertex(e, tt, ll)
-        return -out.reshape(shape) if shape else -float(out[0])
+        return -vertex_operator(c, truth, t, l)
 
     def g_for(e):
         def g(x, l, _e=e):

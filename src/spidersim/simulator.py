@@ -190,6 +190,10 @@ class FirstHitResult:
 
 def _pick_edges(amat: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(amat, axis=1)
+    low, dev = amat.min(), np.abs(cum[:, -1] - 1.0).max()
+    if not (low >= 0 and dev <= 1e-12):  # also catches NaN
+        raise SimulationError(f"ray weights are not a probability vector: smallest {low:.6g}, "
+                              f"largest |row sum - 1| {dev:.3g} (need >= 0 and <= 1e-12)")
     idx = (u[:, None] > cum).sum(axis=1)
     return np.minimum(idx, amat.shape[1] - 1).astype(np.int64) + 1
 

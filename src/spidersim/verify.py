@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, TestFunction, TfTerm, per_ray
+from .network import CoefficientSet, TestFunction, TfTerm, generator, per_ray, vertex_operator
 from .simulator import (
     SimConfig,
     SpiderPath,
@@ -199,27 +200,6 @@ def _vertex_scale(f: TestFunction, c: CoefficientSet, T: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _generator_terms(c: CoefficientSet, f: TestFunction, t, x, edge, l):
-    out = f.dt(edge, t, x, l).astype(float)
-    for e in range(1, c.I + 1):
-        m = edge == e
-        if m.any():
-            sig = np.asarray(c.diffusion(e, t[m], x[m], l[m]), dtype=float)
-            bb = np.asarray(c.drift(e, t[m], x[m], l[m]), dtype=float)
-            out[m] += 0.5 * sig**2 * np.asarray(f.dxx(e, t[m], x[m], l[m]), dtype=float)
-            out[m] += bb * np.asarray(f.dx(e, t[m], x[m], l[m]), dtype=float)
-    return out
-
-
-def _vertex_terms(c: CoefficientSet, f: TestFunction, t, l):
-    """dl-integrand at the vertex: d/dl f + sum_j alpha_j d/dx f_j."""
-    out = np.asarray(f.dl_vertex(t, l), dtype=float).copy()
-    amat = c.alpha_matrix(t, l)
-    for e in range(1, c.I + 1):
-        out += amat[:, e - 1] * np.asarray(f.dx_vertex(e, t, l), dtype=float)
-    return out
-
-
 def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
                         fs: Sequence[TestFunction] | TestFunction,
                         s: float, s_prime: float, workers: int = 1,
@@ -233,6 +213,8 @@ def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
     """
     single = isinstance(fs, TestFunction)
     f_list = [fs] if single else list(fs)
+    if cfg.n_paths < 2:
+        raise ValueError("need at least two paths for a standard error")
     if not (init.t <= s < s_prime <= cfg.T):
         raise ValueError("need init.t <= s < s' <= T")
     bias_c = DEFAULT_BIAS_CONSTANT if bias_constant is None else bias_constant
@@ -253,13 +235,12 @@ def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
                     resid[q] -= f.value(edge, t, x, l)
             if ks <= k < ke:
                 for q, f in enumerate(f_list):
-                    resid[q] -= _generator_terms(c, f, t, x, edge, l) * cfg.h
+                    resid[q] -= per_ray(c.I, edge, partial(generator, c, f), t, x, l) * cfg.h
                 hit = dl > 0
                 if hit.any():
                     th, lh, dlh = t[hit], l[hit], dl[hit]
                     for q, f in enumerate(f_list):
-                        incr = _vertex_terms(c, f, th, lh) * dlh
-                        resid[q, hit] -= incr
+                        resid[q, hit] -= vertex_operator(c, f, th, lh) * dlh
             if k == ke:
                 for q, f in enumerate(f_list):
                     resid[q] += f.value(edge, t, x, l)
@@ -306,10 +287,10 @@ def martingale_residual_paths(paths: Sequence[SpiderPath], c: CoefficientSet,
         e_k = p.edge[ks:ke]
         l_k = p.l[ks:ke]
         dl_k = np.diff(p.l)[ks:ke]
-        val -= float(np.sum(_generator_terms(c, f, t_k, x_k, e_k, l_k)) * p.h)
+        val -= float(np.sum(per_ray(c.I, e_k, partial(generator, c, f), t_k, x_k, l_k)) * p.h)
         hit = dl_k > 0
         if hit.any():
-            val -= float(np.sum(_vertex_terms(c, f, t_k[hit], l_k[hit]) * dl_k[hit]))
+            val -= float(np.sum(vertex_operator(c, f, t_k[hit], l_k[hit]) * dl_k[hit]))
         out[p_i] = val
     return out
 
@@ -331,13 +312,13 @@ def ito_residual(p: SpiderPath, c: CoefficientSet, f: TestFunction) -> float:
     dl_k = np.diff(p.l)
     sq = math.sqrt(p.h)
 
-    incr = _generator_terms(c, f, t_k, x_k, e_k, l_k) * p.h
+    incr = per_ray(c.I, e_k, partial(generator, c, f), t_k, x_k, l_k) * p.h
     sig = per_ray(c.I, e_k, c.diffusion, t_k, x_k, l_k)
     incr += np.asarray(f.dx(e_k, t_k, x_k, l_k), dtype=float) * sig * sq * p.gauss
     hit = dl_k > 0
     if hit.any():
         vt = np.zeros_like(x_k)
-        vt[hit] = _vertex_terms(c, f, t_k[hit], l_k[hit])
+        vt[hit] = vertex_operator(c, f, t_k[hit], l_k[hit])
         incr += vt * dl_k
     lhs = np.asarray(f.value(p.edge, times, p.x, p.l), dtype=float)
     resid = lhs - lhs[0] - np.concatenate([[0.0], np.cumsum(incr)])
@@ -610,7 +591,6 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
             fresh[idx] = fn(res2.x, res2.edge, res2.l)
         return {"fval": fval, "fresh": fresh, "ok": ok}
 
-    cfgn = replace(cfg, n_paths=n)
     parts = map_path_blocks(n, workers, block)
     ok = parts["ok"]
     censored_frac = 1.0 - ok.mean()
@@ -629,7 +609,7 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
         stderr={},
         n=int(ok.sum()),
         passed=bool(p > 0.01 and not flagged),
-        seed=cfgn.seed,
+        seed=cfg.seed,
         details={"censored_frac": float(censored_frac), "flagged": bool(flagged),
                  "spec": spec.kind, "lag": lag},
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spidersim.coeffexpr import (
+    _compile,
     AlphaSpec,
     BinOp,
     Call,
@@ -52,6 +53,14 @@ def test_evaluate_examples():
 def test_evaluate_is_vectorized():
     out = evaluate(parse("t + x*l"), np.array([1.0, 2.0]), 2.0, np.array([3.0, 0.5]))
     assert np.array_equal(out, np.array([7.0, 3.0]))
+
+
+def test_compile_binds_missing_variables_to_zero():
+    node = parse("1 + t + 10*x + 100*l")
+    assert _compile(node)(1.0, 2.0, 3.0) == 322.0
+    assert _compile(node, ("x", "l"))(2.0, 3.0) == 321.0
+    assert _compile(node, ("t", "l"))(1.0, 3.0) == 302.0
+    assert _compile(node, ("t", "x"))(1.0, 2.0) == 22.0
 
 
 def test_evaluation_errors_have_diagnostics():

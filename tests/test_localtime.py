@@ -170,6 +170,12 @@ def test_occupation_batch_matches_stored_paths():
     np.testing.assert_allclose(stream, stored, atol=1e-12)
 
 
+def test_occupation_batch_empty_ensemble():
+    out = occupation_batch(constant_coefficients(2), SpiderState(0.0, 0.0, 1, 0.0),
+                           SimConfig(h=0.01, T=0.1, n_paths=0), 0.1)
+    assert out.dtype == np.float64 and out.shape == (0,)
+
+
 def test_estimator_consistency_ladder():
     # downcrossing, occupation and the oracle agree pairwise in L1, tighter
     # as eps shrinks

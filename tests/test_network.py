@@ -85,6 +85,11 @@ def test_validate_rejects_wrong_alpha_length():
         validate_coefficients(c)
 
 
+def test_constant_coefficients_reject_negative_weights():
+    with pytest.raises(NetworkError, match="nonnegative"):
+        constant_coefficients(2, alpha=[1.2, -0.2])
+
+
 def test_validate_rejects_single_edge():
     with pytest.raises(NetworkError):
         constant_coefficients(1)

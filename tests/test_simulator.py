@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spidersim.localtime import oracle_path
-from spidersim.network import CoefficientBounds, constant_coefficients
+from spidersim.network import CoefficientBounds, CoefficientSet, constant_coefficients
 from spidersim.rng import gaussians
 from spidersim.simulator import (
     SimConfig,
@@ -96,6 +96,18 @@ def test_nan_states_rejected():
             SpiderState(0.0, x, 1, l)
         with pytest.raises(SimulationError, match="invalid initial"):
             run_batch(_c(), SimConfig(h=0.01, T=0.1), K=2, t0=0.0, x0=x, edge0=1, l0=l)
+
+
+@pytest.mark.parametrize("weights", [(1.2, -0.2), (0.5, 0.2)])
+def test_ray_draw_rejects_invalid_weights(weights):
+    # negative entry, and a row that does not sum to one
+    base = _c()
+    c = CoefficientSet(I=2, b=base.b, sigma=base.sigma,
+                       alpha=lambda t, l: np.broadcast_to(weights, (np.size(t), 2)),
+                       bounds=base.bounds)
+    cfg = SimConfig(h=0.01, T=0.05, n_paths=20, seed=4)
+    with pytest.raises(SimulationError, match="probability vector"):
+        simulate_batch(c, SpiderState(0.0, 0.0, 1, 0.0), cfg)
 
 
 def test_first_hit_empty_batch():

@@ -55,6 +55,14 @@ def test_martingale_residual_constant_function_is_exact():
     assert rep.passed
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_martingale_residual_needs_two_paths(n):
+    cfg = SimConfig(h=2e-3, T=0.1, n_paths=n, seed=2)
+    with pytest.raises(ValueError, match="two paths"):
+        martingale_residual(_c(), SpiderState(0.0, 0.1, 1, 0.0), cfg, identity_function(2),
+                            0.0, 0.1)
+
+
 def test_martingale_streaming_matches_stored_paths():
     c = _c(I=2, alpha=[0.7, 0.3])
     cfg = SimConfig(h=2e-3, T=0.5, n_paths=40, seed=6, store_paths=True)
