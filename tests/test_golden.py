@@ -3,8 +3,9 @@ pinned as literal values.
 
 The kernel values were recorded before fixed-horizon and absorption mode
 were merged into one loop; the PDE, Feynman-Kac and residual values before
-the ray generator and the vertex operator were written once.  Any refactor
-must reproduce them.  Floats are compared at 1e-12 relative (not as byte
+the ray generator and the vertex operator were written once; the forward
+and three-ray PDE values before the solver marched time on the outside.
+Any refactor must reproduce them.  Floats are compared at 1e-12 relative (not as byte
 digests, so other CPUs and numpy builds pass too), integer and bool arrays
 exactly.
 """
@@ -13,8 +14,9 @@ import numpy as np
 
 from spidersim.coeffexpr import build_coefficient_set
 from spidersim.feynman_kac import FKProblem, fk_estimate
-from spidersim.network import CoefficientBounds, CoefficientSet, TestFunction, TfTerm
-from spidersim.pde import PdeGrid, PdeSolution, flat_profile_poly, manufactured_backward, residual, solve
+from spidersim.network import CoefficientBounds, CoefficientSet, TestFunction, TfTerm, constant_coefficients
+from spidersim.pde import (PdeGrid, PdeProblem, PdeSolution, flat_profile_poly, manufactured_backward,
+                           residual, solve)
 from spidersim.simulator import SimConfig, SpiderState, first_hit, run_batch, simulate_batch, simulate_path
 from spidersim.verify import ito_residual, make_battery, martingale_residual, martingale_residual_paths
 
@@ -96,6 +98,36 @@ def _manufactured():
     return c, truth, manufactured_backward(c, truth, 1.0, R, K)
 
 
+def _forward_problem():
+    """The forward problem with a zeroth-order term of test_pde's maximum principle test."""
+    vals = np.random.default_rng(8).uniform(0.5, 2.0, 4)
+
+    def g(x, l, a=vals[0], b=vals[1]):
+        return a + b * np.cos(np.asarray(x)) * np.exp(-np.asarray(l))
+
+    return PdeProblem(coefficients=constant_coefficients(2), T=0.5, R=1.5, K=1.0, g_edge=(g, g),
+                      c_edge=tuple(lambda t, x, l: 0.3 + 0.0 * np.asarray(x) for _ in range(2)),
+                      direction="forward")
+
+
+def _three_ray_problem():
+    """Three rays, a vertex source and no l = K data: the top slice is closed
+    by dropping the dl term (test_pde's shared vertex value test)."""
+    return PdeProblem(coefficients=constant_coefficients(3, alpha=[0.5, 0.3, 0.2]),
+                      T=0.5, R=1.5, K=1.0,
+                      g_edge=tuple(lambda x, l: np.asarray(x) * 0.0 + np.asarray(l) * 0.1
+                                   for _ in range(3)),
+                      h0=lambda t, l: 1.0 + 0.0 * np.asarray(t))
+
+
+def _smooth_field(prob, grid):
+    """A grid function that solves nothing and differs between rays."""
+    tg, xg, lg = grid.axes(prob)
+    TT, XX, LL = np.meshgrid(tg, xg, lg, indexing="ij")
+    return np.stack([(1.0 + 0.5 * TT) * np.cos(XX + 0.3 * e) * np.exp(-LL)
+                     for e in range(prob.coefficients.I)])
+
+
 def _expression_coefficients():
     """Three rays built from config expressions in (t, x, l)."""
     return build_coefficient_set({
@@ -153,6 +185,19 @@ def test_pde_manufactured_solution_and_residual():
     exact = np.stack([truth.value(e, TT, XX, LL) for e in (1, 2)])
     r = residual(PdeSolution(values=exact, grid=grid, problem=prob))
     _check([r[k] for k in sorted(r)], PDE["truncation"])
+
+
+def test_pde_forward_and_three_ray_problems():
+    cases = ((_forward_problem(), PdeGrid(10, 10, 8), np.s_[::5, ::5, ::4]),
+             (_three_ray_problem(), PdeGrid(8, 8, 6), np.s_[::4, ::4, ::3]))
+    for (prob, grid, sample), key in zip(cases, ("forward", "three_ray")):
+        sol = solve(prob, grid)
+        # the rays carry identical data, so every ray holds the same values
+        for e in range(prob.coefficients.I):
+            _check(sol.values[e][sample].ravel(), PDE[key])
+        assert max(residual(sol).values()) < 1e-12
+        r = residual(PdeSolution(values=_smooth_field(prob, grid), grid=grid, problem=prob))
+        _check([r[k] for k in sorted(r)], PDE[key + "_field"])
 
 
 def test_fk_estimate_on_manufactured_sources():
@@ -244,6 +289,25 @@ PDE = {
     # residual() of the exact solution sampled on the grid, keys sorted
     "truncation": [0.008639078572603853, 0.022449787377822328, 0.011495859706327466, 0.020717308127160883],
     "fk": [0.08369719036284952, 0.0022265608684379503],
+    # solve(...).values[e, ::5, ::5, ::4].ravel() of _forward_problem on PdeGrid(10, 10, 8)
+    "forward": [2.9713736799152297, 2.191944257427795, 1.7191964156070547, 2.4398720644961163,
+                1.8695722319893102, 1.5236678983449528, 1.1305828174957644, 1.0754481612515296,
+                1.0420073018266847, 2.0139364968247424, 1.638899692886518, 1.4995751147936527,
+                2.1086593043062902, 1.6453716912441398, 1.3759633525356298, 1.667817138967404,
+                1.3737296267269454, 1.1965118437072613, 1.675927059939509, 1.4229311431295775,
+                1.3373934344492375, 1.8568752836744724, 1.4758027228237411, 1.2667628712924481,
+                1.7059404522842487, 1.3733935593412898, 1.1777442965593026],
+    # residual() of _smooth_field for _forward_problem, keys sorted
+    "forward_field": [0.6397583714948754, 1.4819987694850991, 0.924521446428285, 1.4505239276410746],
+    # solve(...).values[e, ::4, ::4, ::3].ravel() of _three_ray_problem on PdeGrid(8, 8, 6)
+    "three_ray": [0.7058993015778467, 0.7386343178113295, 0.7546950409915261, 0.14822493130717201,
+                  0.19485924575882901, 0.2367045922791058, 0.03577506813309553, 0.08500752034804893,
+                  0.132905464065528, 0.5300436086326027, 0.5679573696920678, 0.5883568146837386,
+                  0.05409555613235628, 0.10298936226407526, 0.14965591226583635, 0.005880345485295459,
+                  0.05576570532640781, 0.10539082682757535, 0.0, 0.05, 0.1, 0.0, 0.05, 0.1,
+                  0.0, 0.05, 0.1],
+    "three_ray_field": [0.026382549754002577, 0.10570608447943919, 0.27833681257752946,
+                        0.47526387923588187],
 }
 
 BATTERY = {
