@@ -119,13 +119,15 @@ def fk_estimate(prob: FKProblem, c: CoefficientSet, query, cfg: SimConfig,
     if t_q >= cfg.T:
         raise ValueError("query time must be before the horizon")
     prob.check(c.I)
+    if cfg.n_paths < 2:
+        raise ValueError("need at least two paths for a standard error")
     parts = map_path_blocks(
         cfg.n_paths, workers,
         lambda lo, hi: {"v": _per_path_values(prob, c, query, cfg, lo, hi)},
     )
     vals = parts["v"]
     mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
     return FKEstimate(t=t_q, x=x_q, edge=e_q, l=l_q, mean=mean, stderr=stderr,
                       n_paths=vals.size, seed=cfg.seed)
 

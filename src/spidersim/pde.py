@@ -8,12 +8,16 @@ The backward problem solved here is, per ray,
 on (0,T) x (0,R) x (0,K), with a shared vertex value u(t,0,l), the vertex
 relation  du/dl(t,0,l) + sum_i alpha_i(t,l) du_i/dx(t,0,l) + h0(t,l) = 0,
 a homogeneous Neumann condition at x = R, terminal data u(T,x,l) = g_i(x,l)
-and Dirichlet data on the l = K slice.  The l-slices are marched downward
-from K: the one-sided dl difference ties slice p to the already-known slice
-p+1, and within a slice each implicit time step yields one tridiagonal
-system per ray plus a single bordered vertex row, eliminated by a Schur
-complement.  Forward problems are the time reversal (initial data, time
-marching up), with the same vertex treatment.
+and Dirichlet data on the l = K slice.  Time is marched implicitly from the
+data level, one time level at a time.  On a level, every ray of every
+l-slice has its own tridiagonal system in x, solved for two right-hand
+sides: the particular solution w and the response z to a unit vertex value.
+All these systems are swept at once, node by node.  Putting w + v_p z into
+the vertex relation of slice p, whose one-sided dl difference ties it to
+the slice above, gives d_p v_p = n_p - v_{p+1}/dl, with d_p and n_p made of
+the fluxes of z and w and of h0; the vertex values v_p follow from this
+scalar recurrence down from the top slice.  Forward problems are the time
+reversal (initial data, time marching up), with the same vertex treatment.
 
 When no data is supplied on the l = K slice it is closed by dropping the
 dl term from the vertex relation, which is exact whenever the data do not
@@ -48,12 +52,19 @@ class PdeError(RuntimeError):
     pass
 
 
-def _zero3(t, x, l):
-    return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(l)))
+def _full(value, *args):
+    """value as a float array of the broadcast shape of the arguments, so
+    callables may return scalars or ignore an argument."""
+    return np.broadcast_to(np.asarray(value, dtype=np.float64),
+                           np.broadcast_shapes(*map(np.shape, args)))
 
 
-def _zero2(a, b):
-    return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)))
+def _on_rays(fn, I: int, t, x, l) -> np.ndarray:
+    """fn(e, t, x, l) for the rays e = 1..I, with x a row and l a column,
+    stacked as (node, ray, slice) so that each node is one contiguous row."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(l))
+    return np.stack([np.broadcast_to(fn(e, t, x, l), shape) for e in range(1, I + 1)],
+                    axis=1).T.copy()
 
 
 @dataclass(frozen=True)
@@ -88,22 +99,16 @@ class PdeProblem:
                 raise PdeError(f"{name} needs one entry per ray")
 
     def source(self, edge: int, t, x, l):
-        if self.h_edge is None:
-            return _zero3(t, x, l)
-        return np.asarray(self.h_edge[edge - 1](t, x, l), dtype=np.float64)
+        return _full(0.0 if self.h_edge is None else self.h_edge[edge - 1](t, x, l), t, x, l)
 
     def vertex_source(self, t, l):
-        if self.h0 is None:
-            return _zero2(t, l)
-        return np.asarray(self.h0(t, l), dtype=np.float64)
+        return _full(0.0 if self.h0 is None else self.h0(t, l), t, l)
 
     def zeroth(self, edge: int, t, x, l):
-        if self.c_edge is None:
-            return _zero3(t, x, l)
-        return np.asarray(self.c_edge[edge - 1](t, x, l), dtype=np.float64)
+        return _full(0.0 if self.c_edge is None else self.c_edge[edge - 1](t, x, l), t, x, l)
 
     def data_slice(self, edge: int, x, l):
-        return np.asarray(self.g_edge[edge - 1](x, l), dtype=np.float64)
+        return _full(self.g_edge[edge - 1](x, l), x, l)
 
     def compatibility_gap(self, n_samples: int = 21, step: float = 1e-5) -> float:
         """Largest violation of the corner relation between the data slice
@@ -191,37 +196,28 @@ def default_truncation(c: CoefficientSet, T: float, x_query: float = 0.0) -> tup
             4.0 * math.sqrt(T))
 
 
-def _thomas(lower, diag, upper, rhs_cols):
-    """Tridiagonal solve with several right-hand sides (plain sweeps)."""
+def _sweep(lower, diag, upper, rhs):
+    """Thomas sweeps along axis 0 for a batch of tridiagonal systems; rhs
+    may carry more right-hand sides on its second axis.  lower[0] and
+    upper[-1] are not read."""
     n = len(diag)
-    ncol = len(rhs_cols)
-    cp = [0.0] * n
-    dps = [[0.0] * n for _ in range(ncol)]
-    beta = diag[0]
-    if beta == 0.0:
-        raise PdeError("singular tridiagonal system")
-    cp[0] = upper[0] / beta
-    for s in range(ncol):
-        dps[s][0] = rhs_cols[s][0] / beta
-    for k in range(1, n):
-        beta = diag[k] - lower[k] * cp[k - 1]
-        if beta == 0.0:
+    cp = np.empty_like(diag)
+    d = np.empty_like(rhs)
+    for k in range(n):
+        beta = diag[k] - lower[k] * cp[k - 1] if k else diag[0]
+        if not beta.all():
             raise PdeError("singular tridiagonal system")
         cp[k] = upper[k] / beta
-        for s in range(ncol):
-            dps[s][k] = (rhs_cols[s][k] - lower[k] * dps[s][k - 1]) / beta
-    outs = []
-    for s in range(ncol):
-        d = dps[s]
-        for k in range(n - 2, -1, -1):
-            d[k] -= cp[k] * d[k + 1]
-        outs.append(d)
-    return outs
+        d[k] = (rhs[k] - lower[k] * d[k - 1]) / beta if k else rhs[0] / beta
+    for k in range(n - 2, -1, -1):
+        d[k] -= cp[k] * d[k + 1]
+    return d
 
 
 def solve(problem: PdeProblem, grid: PdeGrid) -> PdeSolution:
-    """March the l-slices down from K, solving one implicit time-stepping
-    problem on the star per slice; see the module docstring for the scheme.
+    """March time from the data level; on each level sweep the x-systems of
+    every ray and l-slice at once, then recur the vertex values down from
+    the top slice.  See the module docstring for the scheme.
     """
     c = problem.coefficients
     I = c.I
@@ -241,69 +237,63 @@ def solve(problem: PdeProblem, grid: PdeGrid) -> PdeSolution:
                 "near t=T may carry an O(1) kink")
 
     U = np.empty((I, M + 1, J + 1, P + 1))
-    xs_int = xg[1:]  # interior + far-boundary nodes, j = 1..J
-
     # data rows in time: terminal slice for backward, initial for forward
     m_data = M if backward else 0
     m_range = range(M - 1, -1, -1) if backward else range(1, M + 1)
 
-    for p in range(P, -1, -1):
-        l_val = lg[p]
+    for e in range(1, I + 1):
+        U[e - 1, m_data] = problem.data_slice(e, xg[:, None], lg)
+    vert = U[:, m_data, 0, :]
+    if np.any(vert.max(axis=0) - vert.min(axis=0) > 1e-9 * (1.0 + np.abs(vert[0]))):
+        raise PdeError("data slice is discontinuous at the vertex")
+    # slices solved on each level: all of them, or all below the Dirichlet
+    # slice l = K; without that data the top slice drops the dl term
+    nP = P + 1
+    if problem.psi_edge is not None:
+        nP = P
         for e in range(1, I + 1):
-            U[e - 1, m_data, :, p] = problem.data_slice(e, xg, l_val)
-        if abs(U[:, m_data, 0, p].max() - U[:, m_data, 0, p].min()) > 1e-9 * (
-                1.0 + abs(U[0, m_data, 0, p])):
-            raise PdeError("data slice is discontinuous at the vertex")
-        top_slice = p == P
-        if top_slice and problem.psi_edge is not None:
-            for e in range(1, I + 1):
-                for m in range(M + 1):
-                    U[e - 1, m, :, p] = np.asarray(
-                        problem.psi_edge[e - 1](tg[m], xg), dtype=np.float64)
-            continue
+            U[e - 1, :, :, P] = problem.psi_edge[e - 1](tg[:, None], xg)
+    xs, ls = xg[None, 1:], lg[:nP, None]  # nodes j = 1..J, slices p < nP
 
-        for m in m_range:
-            t_imp = tg[m]  # level where the spatial operator is enforced
-            m_known = m + 1 if backward else m - 1
-            ws = []  # particular solutions, j = 1..J
-            zs = []  # vertex-influence solutions
-            for e in range(1, I + 1):
-                sig = np.asarray(c.diffusion(e, t_imp, xs_int, l_val), dtype=float)
-                bb = np.asarray(c.drift(e, t_imp, xs_int, l_val), dtype=float)
-                cc = np.asarray(problem.zeroth(e, t_imp, xs_int, l_val), dtype=float)
-                hh = np.asarray(problem.source(e, t_imp, xs_int, l_val), dtype=float)
-                a = 0.5 * sig**2 / dx**2
-                bet = bb / (2.0 * dx)
-                diag = (1.0 / dt + 2.0 * a + cc).tolist()
-                lower = (-(a - bet)).tolist()
-                upper = (-(a + bet)).tolist()
-                # far boundary: mirror ghost, d/dx = 0
-                lower[J - 1] = -2.0 * a[J - 1]
-                upper[J - 1] = 0.0
-                lower[0] = 0.0
-                rhs = (U[e - 1, m_known, 1:, p] / dt + hh).tolist()
-                unit = [0.0] * J
-                unit[0] = a[0] - bet[0]  # coupling of node 1 to the vertex value
-                w, z = _thomas(lower, diag, upper, [rhs, unit])
-                ws.append(w)
-                zs.append(z)
+    for m in m_range:
+        t = tg[m]  # level where the spatial operator is enforced
+        m_known = m + 1 if backward else m - 1
+        # (node, ray, slice) arrays
+        a = 0.5 * _on_rays(c.diffusion, I, t, xs, ls)**2 / dx**2
+        bet = _on_rays(c.drift, I, t, xs, ls) / (2.0 * dx)
+        diag = 1.0 / dt + 2.0 * a + _on_rays(problem.zeroth, I, t, xs, ls)
+        lower = -(a - bet)
+        upper = -(a + bet)
+        # far boundary: mirror ghost, d/dx = 0
+        lower[J - 1] = -2.0 * a[J - 1]
+        upper[J - 1] = 0.0
+        # right-hand sides of the particular solution w and of the vertex
+        # influence z (node 1 couples to the vertex value)
+        rhs = np.zeros((J, 2, I, nP))
+        rhs[:, 0] = U[:, m_known, 1:, :nP].transpose(1, 0, 2) / dt + _on_rays(
+            problem.source, I, t, xs, ls)
+        rhs[0, 1] = a[0] - bet[0]
+        w, z = _sweep(lower, diag, upper, rhs).transpose(1, 0, 2, 3)
 
-            amat = np.asarray(c.alpha_matrix(t_imp, l_val), dtype=float)
-            h0v = float(problem.vertex_source(t_imp, l_val))
-            den = 0.0
-            num = -h0v
-            for e in range(I):
-                den += amat[e] * (zs[e][0] - 1.0) / dx
-                num -= amat[e] * ws[e][0] / dx
-            if not top_slice:
-                den -= 1.0 / dl
-                num -= U[0, m, 0, p + 1] / dl
-            if abs(den) < 1e-300:
+        tl = np.full(nP, t)
+        amat = c.alpha_matrix(tl, lg[:nP])
+        den = np.zeros(nP)
+        num = -problem.vertex_source(tl, lg[:nP])
+        for e in range(I):
+            den += amat[:, e] * (z[0, e] - 1.0) / dx
+            num -= amat[:, e] * w[0, e] / dx
+        den[:P] -= 1.0 / dl
+        num, den = num.tolist(), den.tolist()
+        v = np.empty(nP)
+        above = U[0, m, 0, P]  # vertex value of slice p + 1
+        for p in range(nP - 1, -1, -1):
+            if p < P:
+                num[p] -= above / dl
+            if abs(den[p]) < 1e-300:
                 raise PdeError(f"singular vertex coupling at slice {p}, time index {m}")
-            v = num / den
-            for e in range(I):
-                U[e, m, 0, p] = v
-                U[e, m, 1:, p] = np.asarray(ws[e]) + v * np.asarray(zs[e])
+            v[p] = above = num[p] / den[p]
+        U[:, m, 0, :nP] = v
+        U[:, m, 1:, :nP] = (w + v * z).transpose(1, 0, 2)
     return PdeSolution(values=U, grid=grid, problem=problem, warnings=warnings)
 
 
@@ -327,35 +317,32 @@ def residual(solution: PdeSolution, problem: PdeProblem | None = None,
     backward = problem.direction == "backward"
     U = solution.values
     m_levels = range(M) if backward else range(1, M + 1)
+    xs, ls = xg[None, 1:J], lg[:P, None]  # interior nodes, slices below K
 
     interior = []
     vertex = []
-    for p in range(P):
-        l_val = lg[p]
-        for m in m_levels:
-            t_imp = tg[m]
-            m_known = m + 1 if backward else m - 1
-            for e in range(1, I + 1):
-                u_now = U[e - 1, m, :, p]
-                u_known = U[e - 1, m_known, :, p]
-                sig = np.asarray(c.diffusion(e, t_imp, xg[1:J], l_val), dtype=float)
-                bb = np.asarray(c.drift(e, t_imp, xg[1:J], l_val), dtype=float)
-                cc = np.asarray(problem.zeroth(e, t_imp, xg[1:J], l_val), dtype=float)
-                hh = np.asarray(problem.source(e, t_imp, xg[1:J], l_val), dtype=float)
-                # the assembled step reads (u_now - u_known)/dt = spatial
-                # operator + source, in both marching directions
-                dudt = (u_known[1:J] - u_now[1:J]) / dt
-                d2 = (u_now[0:J - 1] - 2.0 * u_now[1:J] + u_now[2:J + 1]) / dx**2
-                d1 = (u_now[2:J + 1] - u_now[0:J - 1]) / (2.0 * dx)
-                r = dudt + 0.5 * sig**2 * d2 + bb * d1 - cc * u_now[1:J] + hh
-                interior.append(r)
-            amat = np.asarray(c.alpha_matrix(t_imp, l_val), dtype=float)
-            h0v = float(problem.vertex_source(t_imp, l_val))
-            flux = sum(amat[e] * (U[e, m, 1, p] - U[e, m, 0, p]) / dx for e in range(I))
-            rv = (U[0, m, 0, p + 1] - U[0, m, 0, p]) / dl + flux + h0v
-            vertex.append(rv)
-    interior = np.concatenate(interior) if interior else np.zeros(1)
-    vertex = np.asarray(vertex) if vertex else np.zeros(1)
+    for m in m_levels:
+        t = tg[m]
+        m_known = m + 1 if backward else m - 1
+        u = U[:, m, :, :P].transpose(1, 0, 2)  # (node, ray, slice)
+        u_known = U[:, m_known, 1:J, :P].transpose(1, 0, 2)
+        # the assembled step reads (u_now - u_known)/dt = spatial operator
+        # + source, in both marching directions
+        dudt = (u_known - u[1:J]) / dt
+        d2 = (u[0:J - 1] - 2.0 * u[1:J] + u[2:J + 1]) / dx**2
+        d1 = (u[2:J + 1] - u[0:J - 1]) / (2.0 * dx)
+        r = (dudt + 0.5 * _on_rays(c.diffusion, I, t, xs, ls)**2 * d2
+             + _on_rays(c.drift, I, t, xs, ls) * d1
+             - _on_rays(problem.zeroth, I, t, xs, ls) * u[1:J]
+             + _on_rays(problem.source, I, t, xs, ls))
+        interior.append(r.ravel())
+        tl = np.full(P, t)
+        amat = c.alpha_matrix(tl, lg[:P])
+        flux = sum(amat[:, e] * (U[e, m, 1, :P] - U[e, m, 0, :P]) / dx for e in range(I))
+        vertex.append((U[0, m, 0, 1:] - U[0, m, 0, :P]) / dl + flux
+                      + problem.vertex_source(tl, lg[:P]))
+    interior = np.concatenate(interior)
+    vertex = np.concatenate(vertex)
     return {
         "interior_max": float(np.max(np.abs(interior))),
         "interior_l2": float(np.sqrt(np.mean(interior**2))),

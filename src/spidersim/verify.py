@@ -535,6 +535,8 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
     Censors paths where tau + lag overruns the horizon; more than 20%
     censoring flags the report as failed.
     """
+    if n < 2:
+        raise ValueError("need at least two paths for a two-sample test")
     fn = _functional(functional)
     K = cfg.n_steps(init.t)
     U = round(lag / cfg.h)

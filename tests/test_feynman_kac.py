@@ -102,6 +102,13 @@ def test_query_time_before_horizon_required():
         fk_estimate(prob, _c(), (1.0, 0.0, 1, 0.0), SimConfig(h=1e-2, T=1.0, seed=0))
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_fk_estimate_needs_two_paths(n):
+    prob = FKProblem(g_edge=_const_g(2, 0.0))
+    with pytest.raises(ValueError, match="two paths"):
+        fk_estimate(prob, _c(), (0.0, 0.5, 1, 0.0), SimConfig(h=1e-2, T=0.5, n_paths=n, seed=0))
+
+
 def test_discontinuous_payoff_rejected():
     prob = FKProblem(g_edge=(lambda x, l: 0.0 * np.asarray(x),
                              lambda x, l: 1.0 + 0.0 * np.asarray(x)))

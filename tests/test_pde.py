@@ -63,6 +63,33 @@ def test_vertex_value_shared_across_edges():
     assert np.abs(vals[:, :, 0, :] - vals[:1, :, 0, :]).max() == 0.0
 
 
+@pytest.mark.parametrize("direction", ["backward", "forward"])
+def test_scalar_and_partial_callables_match_full_arrays(direction):
+    # callables may return Python scalars or ignore an argument; the solver
+    # must treat them as the full arrays they stand for
+    def shape(*args):
+        return np.broadcast_shapes(*map(np.shape, args))
+
+    lean = dict(
+        g_edge=(lambda x, l: 1.0, lambda x, l: 1.0 + 0.5 * np.asarray(x)),
+        h_edge=(lambda t, x, l: 1.0, lambda t, x, l: np.sin(np.asarray(x))),
+        c_edge=(lambda t, x, l: 0.2, lambda t, x, l: 0.1 * np.asarray(l)),
+        h0=lambda t, l: 0.5)
+    full = dict(
+        g_edge=(lambda x, l: np.full(shape(x, l), 1.0),
+                lambda x, l: np.broadcast_to(1.0 + 0.5 * np.asarray(x), shape(x, l))),
+        h_edge=(lambda t, x, l: np.full(shape(t, x, l), 1.0),
+                lambda t, x, l: np.broadcast_to(np.sin(np.asarray(x)), shape(t, x, l))),
+        c_edge=(lambda t, x, l: np.full(shape(t, x, l), 0.2),
+                lambda t, x, l: np.broadcast_to(0.1 * np.asarray(l), shape(t, x, l))),
+        h0=lambda t, l: np.full(shape(t, l), 0.5))
+    grid = PdeGrid(6, 8, 5)
+    sols = [solve(PdeProblem(coefficients=_const_c(), T=0.5, R=1.5, K=1.0, direction=direction,
+                             **kw), grid) for kw in (lean, full)]
+    assert np.array_equal(sols[0].values, sols[1].values)
+    assert residual(sols[0]) == residual(sols[1])
+
+
 def _truth(R):
     return TestFunction(I=2, terms=(
         TfTerm(edge_coeffs=(1.0, -0.5), x_poly=flat_profile_poly(R, 1),
@@ -81,7 +108,8 @@ def test_manufactured_solution_first_order_convergence():
     prob = manufactured_backward(c, truth, 1.0, R, K)
     assert prob.compatibility_gap() < 1e-4
     errs = []
-    for grid in (PdeGrid(12, 12, 8), PdeGrid(24, 24, 16), PdeGrid(48, 48, 32)):
+    for grid in (PdeGrid(12, 12, 8), PdeGrid(24, 24, 16), PdeGrid(48, 48, 32),
+                 PdeGrid(96, 96, 64)):
         sol = solve(prob, grid)
         tg, xg, lg = grid.axes(prob)
         TT, XX, LL = np.meshgrid(tg, xg, lg, indexing="ij")
@@ -90,6 +118,7 @@ def test_manufactured_solution_first_order_convergence():
         errs.append(err)
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[2] > 1.5  # at least first order
+    assert errs[2] / errs[3] > 1.8  # first order settles on the finer grid
 
 
 def test_truncation_residual_orders_on_exact_solution():

@@ -186,6 +186,14 @@ def test_strong_markov_flags_excessive_censoring():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_strong_markov_needs_two_paths(n):
+    cfg = SimConfig(h=1e-2, T=0.2, seed=63)
+    with pytest.raises(ValueError, match="two paths"):
+        strong_markov_test(_c(), StoppingSpec("fixed_time", time=0.05), "x", 0.05, n, cfg,
+                           SpiderState(0.0, 0.5, 1, 0.0))
+
+
 def test_report_json_round_trip():
     rep = EstimatorReport(name="demo", estimates={"v": np.float64(1.5)},
                           stderr={"v": np.float64(0.1)}, n=10, passed=True,
