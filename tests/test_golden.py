@@ -4,14 +4,21 @@ pinned as literal values.
 The kernel values were recorded before fixed-horizon and absorption mode
 were merged into one loop; the PDE, Feynman-Kac and residual values before
 the ray generator and the vertex operator were written once; the forward
-and three-ray PDE values before the solver marched time on the outside.
+and three-ray PDE values before the solver marched time on the outside;
+the CLI output digests before the subcommand runners handed their outputs
+to one writer.
 Any refactor must reproduce them.  Floats are compared at 1e-12 relative (not as byte
 digests, so other CPUs and numpy builds pass too), integer and bool arrays
-exactly.
+exactly.  The CLI files are byte-stable by contract, so they are pinned by
+sha256.
 """
+
+import hashlib
+import json
 
 import numpy as np
 
+from spidersim.cli import SUBCOMMANDS, main
 from spidersim.coeffexpr import build_coefficient_set
 from spidersim.feynman_kac import FKProblem, fk_estimate
 from spidersim.network import CoefficientBounds, CoefficientSet, TestFunction, TfTerm, constant_coefficients
@@ -222,6 +229,49 @@ def test_battery_residuals_on_expression_coefficients():
            BATTERY["paths"])
 
 
+def _cli_config():
+    """Three rays and every subcommand's block, small enough for Tier-1."""
+    g = ["x*(1 - x/4)", "x*(1 - x/4)", "0"]
+    h = ["0.5", "0.5", "1"]
+    return {
+        "network": {
+            "I": 3,
+            "b": ["0.3*tanh(x) - 0.1*l", "-0.2", "0.1*sin(t)"],
+            "sigma": ["1 + 0.2*sin(t)", "1.2", "0.8 + 0.1*tanh(l)"],
+            "alpha": {"exprs": ["1 + 0.5*tanh(l)", "1", "1"], "mode": "renormalize"},
+            "bounds": {"a_lower": 0.2, "sigma_lower": 0.5, "b_bound": 1.0,
+                       "sigma_bound": 1.5, "alpha_lip": 1.0},
+        },
+        "sim": {"h": 1e-4, "T": 0.05, "n_paths": 200, "seed": 5, "delta_shell": 1e-3},
+        "init": {"x": 0.0, "edge": 1},
+        "scatter": {"t": 0.0, "ell": 0.5, "delta": 0.02, "n": 10000},
+        "exitstats": {"t": 0.0, "ell": 0.0, "deltas": [0.04, 0.02], "n": 1000},
+        "atom": {"deltas": [0.1, 0.05], "oracle": "half_normal"},
+        "martingale": {"s": 0.0, "s_prime": 0.05},
+        "ito": {"h_list": [5e-3, 1e-3], "n_paths": 4},
+        "markov": {"spec": {"kind": "fixed_time", "time": 0.01}, "functional": "x",
+                   "lag": 0.02, "n": 300},
+        "localtime": {"eps_list": [0.2, 0.1], "n_paths": 20},
+        "pde": {"R": 2.0, "K": 1.0, "grid": {"M": 8, "J": 8, "P": 4},
+                "g": g, "h": h, "h0": "0.25 + 0.1*l"},
+        "fk": {"g": g, "h": h, "h0": "0.25 + 0.1*l",
+               "queries": [[0.0, 0.2, 1, 0.0], [0.01, 0.1, 3, 0.2]]},
+        "fk_compare": {"R": 2.0, "K": 1.0, "grid": {"M": 8, "J": 8, "P": 4}},
+    }
+
+
+def test_cli_outputs(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_cli_config()), encoding="utf-8")
+    assert set(CLI) == set(SUBCOMMANDS)
+    for sub, (code, digests) in CLI.items():
+        out = tmp_path / sub
+        assert main([sub, "--config", str(path), "--out", str(out)]) == code, sub
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in out.iterdir() if f.name != "run_meta.json"}
+        assert got == digests, sub
+
+
 nan = float("nan")
 
 BATCH = {
@@ -315,4 +365,44 @@ BATTERY = {
     "martingale_stderr": [0.0291652970047742, 0.006925660587508741, 0.00460288639537903, 0.01159002575693733, 0.017013721591758776],
     "ito": [0.0050058985213069646, 0.0018179830166113742, 0.00972230325901458, 0.003073428763832056, 0.0032912900628441315],
     "paths": [-0.019671462753189442, 0.0433299891550111, 0.024200994822249855, -0.016152543373905287, -0.020290331541035253],
+}
+
+# exit code and sha256 of every file but run_meta.json, per subcommand of _cli_config
+CLI = {
+    "simulate": (0, {
+        "simulate.csv": "43348f67c80b8a872b4de4df528bb8c1a60d47953e7a726d3abb7dc7b4c046ad",
+        "simulate.json": "cb3ae1322471c0a833c1e11749301d537ab4d5f1dd3cac6a22b7a6be14d546d2"}),
+    "localtime": (0, {
+        "localtime.csv": "0a3c0e85fd2761ce4082932384f5a2b6b38f52f817eeb9c7004c89a599765834",
+        "localtime.json": "3d669a840e73e27007ea50d880c0e3454779ec492ffcd8ec9c7c8f8751b543ef"}),
+    "scatter": (1, {
+        "scatter.csv": "3238fddd30a3b65d515ebca983d5f8940d97959c99a7dac61a5bd2b0638a7702",
+        "scatter.json": "583f81c35b3438a57d07b8481642598ea9c49856aa6d69b15d24126c2f032ce0"}),
+    "exitstats": (1, {
+        "exitstats.csv": "00f20698f2f231e0feefbc144178c4841e06a49523d0e5852cadceb4a2394d1e",
+        "exitstats.json": "cec1ded97dc0fb57eb7b2b8f58515fc05a3585106e1a159f6053befd802291a1"}),
+    "atom": (0, {
+        "atom.csv": "d5359067e47b7feeb9acf2e10b375a8b33bb49d59a38bbfc612324b29ffca7ee",
+        "atom.json": "dba20799dfa2c5fca27c4bc5261f45e72ad9b450f6c04374fc84757caa5526f0"}),
+    "martingale": (0, {
+        "martingale.csv": "10c985ccdd4753326e737611981dd872da55385a56f972488a981ffa7a1a2737",
+        "martingale.json": "d8f4e48f747f90292d59ae6aaa68c6dd8e4deea084ede7303133b148e2bcdb30"}),
+    "ito": (0, {
+        "ito.csv": "7df0a541f660511fb49af4bcdafb0365208f80e207bd9230d22b877510457513",
+        "ito.json": "e493bfdf21c5599da3dd681adf0599e2e8103db80b743cc4235462ce9bc86268"}),
+    "markov": (0, {
+        "markov.csv": "1fe178002856e65a8bcd8903b6ad379896e2d3041ef53379941523af8cbf6921",
+        "markov.json": "147024778bf4d756dd42bdc9b92d21cc81be1309a8c556e41451b617f4b40a31"}),
+    "pde": (0, {
+        "pde.csv": "c4f538fa5567126a03d368cddb695985e61242317924c47cd113924e9f4d8bec",
+        "pde.json": "228f73213484d5ace991e84aa68733e39e17cd1570fd02800a7093c9d9d552ae"}),
+    "fk": (0, {
+        "fk.csv": "9a2970481a9cc10f1b275de71656756ed065f860cbc097559b107380dddde66b",
+        "fk.json": "2854374a82c86a8765527989affe4f2e798e15339ecef27fb6deb39fbf8cd85b"}),
+    "fk-compare": (0, {
+        "fk_compare.csv": "00eec6a0d5dea0b2c774dbf4846629d062f31b2f0bae807c84adcdff9a2f3489",
+        "fk_compare.json": "086eea82fcb51b193fa1a3c74ae417421b74d02e9e989036d3feeb6a862a778a"}),
+    "validate": (0, {
+        "validate.csv": "f55e039f81d469c457d2c001a67fa519a45b8e02f7b4eb97f1fb8849453c23d2",
+        "validate.json": "973e8467c0ca49e39d9d2d8f89cce9f03c9025a665fbf71c4c07308199a6796b"}),
 }
