@@ -23,12 +23,6 @@ from .network import NetworkError, SamplingPlan, validate_coefficients
 from .pde import PdeError, PdeGrid, PdeProblem, residual as pde_residual, solve as pde_solve
 from .simulator import SimConfig, SimulationError, SpiderState, simulate_batch
 
-SUBCOMMANDS = (
-    "simulate", "localtime", "scatter", "exitstats", "atom", "martingale",
-    "ito", "markov", "pde", "fk", "fk-compare", "validate",
-)
-
-
 class CliConfigError(ValueError):
     pass
 
@@ -163,105 +157,98 @@ def _edge_exprs(block, key: str, I: int, variables: tuple[str, ...]):
     return tuple(_expr_fn(s, f"{key}[{i}]", variables) for i, s in enumerate(raw))
 
 
-def _fk_problem(cfg: dict, I: int) -> FKProblem:
+def _sources(block: dict, where: str, I: int):
+    """The payoff g (required), running source h and vertex source h0 of a block."""
+    g_edge = _edge_exprs(block, "g", I, ("x", "l"))
+    if g_edge is None:
+        raise CliConfigError(f"{where}.g is required")
+    h_edge = _edge_exprs(block, "h", I, ("t", "x", "l"))
+    h0 = _expr_fn(block["h0"], f"{where}.h0", ("t", "l")) if "h0" in block else None
+    return g_edge, h_edge, h0
+
+
+def _grid(block: dict, where: str) -> PdeGrid:
+    grid_cfg = block.get("grid") or {}
+    where = f"{where}.grid"
+    _require_keys(grid_cfg, {"M", "J", "P"}, where)
+    return PdeGrid(
+        M=_num(grid_cfg, "M", where, lo=2, integer=True),
+        J=_num(grid_cfg, "J", where, lo=2, integer=True),
+        P=_num(grid_cfg, "P", where, lo=2, integer=True),
+    )
+
+
+def _fk_problem(cfg: dict, I: int) -> tuple[FKProblem, list[tuple]]:
     block = cfg.get("fk")
     if block is None:
         raise CliConfigError("missing 'fk' block")
     _require_keys(block, {"g", "h", "h0", "h_bound", "queries", "n_paths"}, "fk")
-    g_edge = _edge_exprs(block, "g", I, ("x", "l"))
-    if g_edge is None:
-        raise CliConfigError("fk.g is required")
-    return FKProblem(
-        g_edge=g_edge,
-        h_edge=_edge_exprs(block, "h", I, ("t", "x", "l")),
-        h0=_expr_fn(block["h0"], "fk.h0", ("t", "l")) if "h0" in block else None,
-        h_bound=_num(block, "h_bound", "fk", default=10.0, lo=0.0),
-    )
+    g_edge, h_edge, h0 = _sources(block, "fk", I)
+    prob = FKProblem(g_edge=g_edge, h_edge=h_edge, h0=h0,
+                     h_bound=_num(block, "h_bound", "fk", default=10.0, lo=0.0))
+    return prob, _queries(block, "fk")
 
 
 def _queries(block, where: str) -> list[tuple]:
     qs = block.get("queries")
     if not qs:
         raise CliConfigError(f"missing {where}.queries")
-    out = []
-    for q in qs:
-        if len(q) != 4:
-            raise CliConfigError(f"{where}.queries entries are [t, x, edge, l]")
-        out.append((float(q[0]), float(q[1]), int(q[2]), float(q[3])))
-    return out
+    if not isinstance(qs, list) or not all(isinstance(q, list) and len(q) == 4 for q in qs):
+        raise CliConfigError(f"{where}.queries entries are [t, x, edge, l]")
+    return [(float(q[0]), float(q[1]), int(q[2]), float(q[3])) for q in qs]
 
 
-def _pde_problem(cfg: dict, c) -> tuple[PdeProblem, PdeGrid]:
+def _pde_problem(cfg: dict, c, sim: SimConfig) -> tuple[PdeProblem, PdeGrid]:
     block = cfg.get("pde")
     if block is None:
         raise CliConfigError("missing 'pde' block")
     _require_keys(block, {"direction", "R", "K", "grid", "g", "h", "h0", "c",
                           "psi"}, "pde")
-    I = c.I
-    grid_cfg = block.get("grid") or {}
-    _require_keys(grid_cfg, {"M", "J", "P"}, "pde.grid")
-    grid = PdeGrid(
-        M=_num(grid_cfg, "M", "pde.grid", lo=2, integer=True),
-        J=_num(grid_cfg, "J", "pde.grid", lo=2, integer=True),
-        P=_num(grid_cfg, "P", "pde.grid", lo=2, integer=True),
-    )
-    g_edge = _edge_exprs(block, "g", I, ("x", "l"))
-    if g_edge is None:
-        raise CliConfigError("pde.g is required")
-    h_edge = _edge_exprs(block, "h", I, ("t", "x", "l"))
-    c_edge = _edge_exprs(block, "c", I, ("t", "x", "l"))
-    psi_edge = _edge_exprs(block, "psi", I, ("t", "x"))
-    h0 = _expr_fn(block["h0"], "pde.h0", ("t", "l")) if "h0" in block else None
-    T = _num({"T": cfg["sim"]["T"]}, "T", "sim", lo=1e-12) if "sim" in cfg else None
-    if T is None:
-        raise CliConfigError("pde runs take the horizon from sim.T")
-
+    g_edge, h_edge, h0 = _sources(block, "pde", c.I)
     return PdeProblem(
         coefficients=c,
-        T=T,
+        T=sim.T,
         R=_num(block, "R", "pde", lo=1e-12),
         K=_num(block, "K", "pde", lo=1e-12),
         g_edge=g_edge,
         h_edge=h_edge,
         h0=h0,
-        c_edge=c_edge,
-        psi_edge=psi_edge,
+        c_edge=_edge_exprs(block, "c", c.I, ("t", "x", "l")),
+        psi_edge=_edge_exprs(block, "psi", c.I, ("t", "x")),
         direction=block.get("direction", "backward"),
-    ), grid
+    ), _grid(block, "pde")
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (exit_code, csv_payload, report_payload)
+# subcommand runners: _run_x(cfg, c, sim, workers) -> (header, rows, params,
+# report).  main writes header and rows to out/<stem>.csv, params and report
+# to out/<stem>.json (stem: the subcommand with "-" as "_"), and exits 1 only
+# when report["pass"] is False.
 # ---------------------------------------------------------------------------
 
 
-def _run_validate(cfg, c, sim, out, chash, workers):
+def _run_validate(cfg, c, sim, workers):
     plan = SamplingPlan.default(T=sim.T if sim else 1.0)
     report = validate_coefficients(c, plan)
     rows = [[cl.name, cl.passed, cl.worst, cl.limit] for cl in report.clauses]
-    _write_csv(out / "validate.csv", ["clause", "pass", "worst", "limit"], rows, chash)
-    _write_report(out / "validate.json", "validate", {"clauses": len(rows)},
-                  {"estimates": {cl.name: cl.worst for cl in report.clauses},
-                   "pass": report.passed}, chash, sim.seed if sim else 0)
-    return 0 if report.passed else 1
+    return (["clause", "pass", "worst", "limit"], rows, {"clauses": len(rows)},
+            {"estimates": {cl.name: cl.worst for cl in report.clauses}, "pass": report.passed})
 
 
-def _run_simulate(cfg, c, sim, out, chash, workers):
+def _run_simulate(cfg, c, sim, workers):
     init = _init_state(cfg)
     res = simulate_batch(c, init, sim, workers=workers)
     rows = [[i, res.t[i], res.x[i], int(res.edge[i]), res.l[i]] for i in range(res.n)]
-    _write_csv(out / "simulate.csv", ["path", "t", "x", "edge", "l"], rows, chash)
     summary = {
         "estimates": {"mean_x": float(res.x.mean()) if res.n else 0.0,
                       "mean_l": float(res.l.mean()) if res.n else 0.0},
         "stderr": {"mean_x": float(res.x.std(ddof=1) / np.sqrt(res.n)) if res.n > 1 else 0.0},
         "pass": None,
     }
-    _write_report(out / "simulate.json", "simulate", {"n_paths": res.n}, summary, chash, sim.seed)
-    return 0
+    return ["path", "t", "x", "edge", "l"], rows, {"n_paths": res.n}, summary
 
 
-def _run_scatter(cfg, c, sim, out, chash, workers):
+def _run_scatter(cfg, c, sim, workers):
     block = cfg.get("scatter") or {}
     _require_keys(block, {"t", "ell", "delta", "n"}, "scatter")
     rep = verify.scattering_distribution(
@@ -275,13 +262,10 @@ def _run_scatter(cfg, c, sim, out, chash, workers):
     stderr = rep.stderr["freq"]
     ok = rep.details["per_edge_pass"]
     rows = [[e + 1, freq[e], stderr[e], target[e], ok[e]] for e in range(c.I)]
-    _write_csv(out / "scatter.csv", ["edge", "freq", "stderr", "alpha_target", "pass"],
-               rows, chash)
-    _write_report(out / "scatter.json", "scatter", dict(block), rep.to_json(), chash, rep.seed)
-    return 0 if rep.passed else 1
+    return ["edge", "freq", "stderr", "alpha_target", "pass"], rows, dict(block), rep.to_json()
 
 
-def _run_exitstats(cfg, c, sim, out, chash, workers):
+def _run_exitstats(cfg, c, sim, workers):
     block = cfg.get("exitstats") or {}
     _require_keys(block, {"t", "ell", "deltas", "n"}, "exitstats")
     deltas = [float(d) for d in block.get("deltas", [])]
@@ -294,14 +278,11 @@ def _run_exitstats(cfg, c, sim, out, chash, workers):
         sim, workers=workers)
     rows = [[r["delta"], r["l_ratio"], r["l_ratio_stderr"], r["theta_ratio"],
              r["theta_ratio_stderr"], r["censored"]] for r in rep.estimates["rows"]]
-    _write_csv(out / "exitstats.csv",
-               ["delta", "l_ratio", "l_ratio_stderr", "theta_ratio",
-                "theta_ratio_stderr", "censored"], rows, chash)
-    _write_report(out / "exitstats.json", "exitstats", dict(block), rep.to_json(), chash, rep.seed)
-    return 0 if rep.passed else 1
+    return (["delta", "l_ratio", "l_ratio_stderr", "theta_ratio", "theta_ratio_stderr",
+             "censored"], rows, dict(block), rep.to_json())
 
 
-def _run_atom(cfg, c, sim, out, chash, workers):
+def _run_atom(cfg, c, sim, workers):
     block = cfg.get("atom") or {}
     _require_keys(block, {"deltas", "oracle"}, "atom")
     deltas = [float(d) for d in block.get("deltas", [])]
@@ -318,12 +299,10 @@ def _run_atom(cfg, c, sim, out, chash, workers):
     stderr = rep.stderr["p_hat"]
     rows = [[d, phat[i], stderr[i], rep.details["slopes"][i]]
             for i, d in enumerate(rep.details["deltas"])]
-    _write_csv(out / "atom.csv", ["delta", "p_hat", "stderr", "slope"], rows, chash)
-    _write_report(out / "atom.json", "atom", dict(block), rep.to_json(), chash, rep.seed)
-    return 0 if rep.passed else 1
+    return ["delta", "p_hat", "stderr", "slope"], rows, dict(block), rep.to_json()
 
 
-def _run_martingale(cfg, c, sim, out, chash, workers):
+def _run_martingale(cfg, c, sim, workers):
     block = cfg.get("martingale") or {}
     _require_keys(block, {"s", "s_prime"}, "martingale")
     init = _init_state(cfg)
@@ -334,13 +313,11 @@ def _run_martingale(cfg, c, sim, out, chash, workers):
     rows = [[q, rep.estimates["mean"][q], rep.stderr["mean"][q],
              rep.estimates["budget"][q], rep.details["per_function_pass"][q]]
             for q in range(len(battery))]
-    _write_csv(out / "martingale.csv",
-               ["function", "mean_residual", "stderr", "bias_budget", "pass"], rows, chash)
-    _write_report(out / "martingale.json", "martingale", dict(block), rep.to_json(), chash, rep.seed)
-    return 0 if rep.passed else 1
+    return (["function", "mean_residual", "stderr", "bias_budget", "pass"], rows, dict(block),
+            rep.to_json())
 
 
-def _run_ito(cfg, c, sim, out, chash, workers):
+def _run_ito(cfg, c, sim, workers):
     block = cfg.get("ito") or {}
     _require_keys(block, {"h_list", "n_paths"}, "ito")
     hs = [float(h) for h in block.get("h_list", [])]
@@ -351,13 +328,11 @@ def _run_ito(cfg, c, sim, out, chash, workers):
     rep = verify.ito_convergence(
         c, init, f, hs, sim.T,
         _num(block, "n_paths", "ito", default=4, lo=1, integer=True), sim.seed)
-    rows = list(zip(rep.estimates["h"], rep.estimates["mean_max_residual"]))
-    _write_csv(out / "ito.csv", ["h", "mean_max_residual"], [list(r) for r in rows], chash)
-    _write_report(out / "ito.json", "ito", dict(block), rep.to_json(), chash, rep.seed)
-    return 0 if rep.passed else 1
+    rows = [list(r) for r in zip(rep.estimates["h"], rep.estimates["mean_max_residual"])]
+    return ["h", "mean_max_residual"], rows, dict(block), rep.to_json()
 
 
-def _run_markov(cfg, c, sim, out, chash, workers):
+def _run_markov(cfg, c, sim, workers):
     block = cfg.get("markov") or {}
     _require_keys(block, {"spec", "functional", "lag", "n"}, "markov")
     spec_cfg = block.get("spec") or {}
@@ -375,13 +350,10 @@ def _run_markov(cfg, c, sim, out, chash, workers):
         sim, init, workers=workers)
     rows = [[rep.estimates["ks_distance"], rep.estimates["p_value"],
              rep.details["censored_frac"], rep.passed]]
-    _write_csv(out / "markov.csv", ["ks_distance", "p_value", "censored_frac", "pass"],
-               rows, chash)
-    _write_report(out / "markov.json", "markov", dict(block), rep.to_json(), chash, rep.seed)
-    return 0 if rep.passed else 1
+    return ["ks_distance", "p_value", "censored_frac", "pass"], rows, dict(block), rep.to_json()
 
 
-def _run_localtime(cfg, c, sim, out, chash, workers):
+def _run_localtime(cfg, c, sim, workers):
     block = cfg.get("localtime") or {}
     _require_keys(block, {"eps_list", "n_paths"}, "localtime")
     eps_list = [float(e) for e in block.get("eps_list", [])]
@@ -401,82 +373,64 @@ def _run_localtime(cfg, c, sim, out, chash, workers):
     l1_occ = [r[2] for r in rows]
     ok = all(a > b for a, b in zip(l1_down, l1_down[1:])) and all(
         a > b for a, b in zip(l1_occ, l1_occ[1:]))
-    _write_csv(out / "localtime.csv",
-               ["eps", "l1_downcrossing", "l1_occupation"], rows, chash)
-    _write_report(out / "localtime.json", "localtime", dict(block),
-                  {"estimates": {"rows": rows}, "pass": ok}, chash, sim.seed)
-    return 0 if ok else 1
+    return (["eps", "l1_downcrossing", "l1_occupation"], rows, dict(block),
+            {"estimates": {"rows": rows}, "pass": ok})
 
 
-def _run_pde(cfg, c, sim, out, chash, workers):
-    problem, grid = _pde_problem(cfg, c)
+def _run_pde(cfg, c, sim, workers):
+    problem, grid = _pde_problem(cfg, c, sim)
     sol = pde_solve(problem, grid)
     res = pde_residual(sol)
     ok = res["interior_max"] <= 1e-8 and res["vertex_max"] <= 1e-8
     rows = [[k, v] for k, v in sorted(res.items())]
-    _write_csv(out / "pde.csv", ["metric", "value"], rows, chash)
-    _write_report(out / "pde.json", "pde",
-                  {"grid": [grid.M, grid.J, grid.P]},
-                  {"estimates": res, "pass": ok, "warnings": sol.warnings},
-                  chash, sim.seed if sim else 0)
-    return 0 if ok else 1
+    return (["metric", "value"], rows, {"grid": [grid.M, grid.J, grid.P]},
+            {"estimates": res, "pass": ok, "warnings": sol.warnings})
 
 
-def _run_fk(cfg, c, sim, out, chash, workers):
-    prob = _fk_problem(cfg, c.I)
-    queries = _queries(cfg.get("fk") or {}, "fk")
+def _run_fk(cfg, c, sim, workers):
+    prob, queries = _fk_problem(cfg, c.I)
     rows = []
     for q in queries:
         est = fk_estimate(prob, c, q, sim, workers=workers)
         rows.append([q[0], q[1], q[2], q[3], est.mean, est.stderr, est.n_paths])
-    _write_csv(out / "fk.csv", ["t", "x", "edge", "l", "mean", "stderr", "n_paths"],
-               rows, chash)
-    _write_report(out / "fk.json", "fk", {"queries": len(queries)},
-                  {"estimates": {"values": [r[4] for r in rows]},
-                   "stderr": {"values": [r[5] for r in rows]}, "pass": None},
-                  chash, sim.seed)
-    return 0
+    return (["t", "x", "edge", "l", "mean", "stderr", "n_paths"], rows,
+            {"queries": len(queries)},
+            {"estimates": {"values": [r[4] for r in rows]},
+             "stderr": {"values": [r[5] for r in rows]}, "pass": None})
 
 
-def _run_fk_compare(cfg, c, sim, out, chash, workers):
-    prob = _fk_problem(cfg, c.I)
+def _run_fk_compare(cfg, c, sim, workers):
+    prob, queries = _fk_problem(cfg, c.I)
     block = cfg.get("fk_compare") or {}
     _require_keys(block, {"R", "K", "grid"}, "fk_compare")
-    grid_cfg = block.get("grid") or {}
-    _require_keys(grid_cfg, {"M", "J", "P"}, "fk_compare.grid")
-    grid = PdeGrid(M=int(grid_cfg["M"]), J=int(grid_cfg["J"]), P=int(grid_cfg["P"]))
-    queries = _queries(cfg.get("fk") or {}, "fk")
     rows_out, _ = fk_vs_pde(
-        prob, c, queries, sim, grid,
+        prob, c, queries, sim, _grid(block, "fk_compare"),
         R=_num(block, "R", "fk_compare", lo=1e-12),
         K=_num(block, "K", "fk_compare", lo=1e-12),
         workers=workers)
     rows = [[r.query[0], r.query[1], r.query[2], r.query[3], r.mc_mean, r.mc_stderr,
              r.pde_value, r.diff, r.tolerance, r.passed] for r in rows_out]
-    _write_csv(out / "fk_compare.csv",
-               ["t", "x", "edge", "l", "mc_mean", "mc_stderr", "pde_value",
-                "abs_diff", "tolerance", "pass"], rows, chash)
-    ok = all(r.passed for r in rows_out)
-    _write_report(out / "fk_compare.json", "fk-compare", {"queries": len(rows)},
-                  {"estimates": {"diffs": [r.diff for r in rows_out]}, "pass": ok},
-                  chash, sim.seed)
-    return 0 if ok else 1
+    return (["t", "x", "edge", "l", "mc_mean", "mc_stderr", "pde_value", "abs_diff",
+             "tolerance", "pass"], rows, {"queries": len(rows)},
+            {"estimates": {"diffs": [r.diff for r in rows_out]},
+             "pass": all(r.passed for r in rows_out)})
 
 
 _RUNNERS = {
-    "validate": _run_validate,
     "simulate": _run_simulate,
+    "localtime": _run_localtime,
     "scatter": _run_scatter,
     "exitstats": _run_exitstats,
     "atom": _run_atom,
     "martingale": _run_martingale,
     "ito": _run_ito,
     "markov": _run_markov,
-    "localtime": _run_localtime,
     "pde": _run_pde,
     "fk": _run_fk,
     "fk-compare": _run_fk_compare,
+    "validate": _run_validate,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 _TOP_KEYS = {"network", "sim", "init", "scatter", "exitstats", "atom", "martingale",
              "ito", "markov", "localtime", "pde", "fk", "fk_compare"}
@@ -505,10 +459,14 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         chash = config_hash(cfg) + (f"-s{args.seed}" if args.seed is not None else "")
-        code = _RUNNERS[args.subcommand](cfg, c, sim, out, chash, max(1, args.workers))
+        header, rows, params, report = _RUNNERS[args.subcommand](cfg, c, sim, max(1, args.workers))
+        stem = args.subcommand.replace("-", "_")
+        _write_csv(out / f"{stem}.csv", header, rows, chash)
+        _write_report(out / f"{stem}.json", args.subcommand, params, report, chash,
+                      sim.seed if sim else 0)
         meta = {"elapsed_seconds": time.time() - started, "written_at": time.time()}
         (out / "run_meta.json").write_text(json.dumps(meta) + "\n", encoding="utf-8")
-        return code
+        return 1 if report.get("pass") is False else 0
     except coeffexpr.EvalError as exc:
         return _fail(str(exc), 3)
     except (CliConfigError, ConfigError, CoeffExprError, NetworkError, FileNotFoundError) as exc:

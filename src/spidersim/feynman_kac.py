@@ -97,7 +97,7 @@ def _per_path_values(prob: FKProblem, c: CoefficientSet, query, cfg: SimConfig,
     n = hi - lo
     acc = np.zeros(n)
 
-    def on_step(k, t, x, edge, l, dl, contact):
+    def on_step(k, t, x, edge, l, dl, contact, *_):
         acc_step = prob.running(edge, t, x, l) * cfg.h
         if prob.h0 is not None:
             hit = dl > 0
@@ -153,14 +153,15 @@ def fk_vs_pde(prob: FKProblem, c: CoefficientSet, queries: Sequence[tuple],
     error), inflated by richardson_factor.  A row passes when
     |MC - PDE| <= 3 stderr + budget.
     """
+    for q in queries:
+        if q[1] > 0.9 * R or q[3] > 0.9 * K:
+            raise ValueError(f"query {q} too close to the truncation boundary")
     pde_prob = to_pde_problem(prob, c, cfg.T, R, K, psi_edge=psi_edge)
     fine = solve(pde_prob, grid)
     coarse = solve(pde_prob, grid.coarsened())
     rows = []
     for q in queries:
         t_q, x_q, e_q, l_q = q
-        if x_q > 0.9 * R or l_q > 0.9 * K:
-            raise ValueError(f"query {q} too close to the truncation boundary")
         est = fk_estimate(prob, c, q, cfg, workers=workers)
         u_fine = fine.at(t_q, x_q, e_q, l_q)
         u_coarse = coarse.at(t_q, x_q, e_q, l_q)

@@ -213,7 +213,7 @@ def occupation_batch(c: CoefficientSet, init, cfg, eps: float,
     def block(lo, hi):
         acc = np.zeros(hi - lo)
 
-        def on_step(k, t, x, edge, l, dl, contact):
+        def on_step(k, t, x, edge, l, dl, contact, *_):
             rows, sig2 = _shell_integrand(c, subset, eps, t, x, edge, l)
             acc[rows] += sig2 * cfg.h
 

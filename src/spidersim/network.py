@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "EdgeIndex",
     "NetworkPoint",
     "CoefficientBounds",
     "CoefficientSet",
@@ -35,17 +34,6 @@ __all__ = [
 
 class NetworkError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class EdgeIndex:
-    """Ray label, 1-based."""
-
-    value: int
-
-    def __post_init__(self):
-        if not isinstance(self.value, (int, np.integer)) or self.value < 1:
-            raise NetworkError(f"edge index must be a positive integer, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -460,9 +448,6 @@ class TestFunction:
 
     # vertex views (edge-independent where the class guarantees it)
 
-    def value_vertex(self, t, l):
-        return self.value(1, t, np.zeros_like(np.asarray(l, dtype=float)), l)
-
     def dl_vertex(self, t, l):
         return self.dl(1, t, np.zeros_like(np.asarray(l, dtype=float)), l)
 
@@ -496,10 +481,14 @@ class TestFunction:
         return worst
 
 
-def generator(c: CoefficientSet, f: TestFunction, edge: int, t, x, l):
-    """Ray generator f_t + (1/2) sigma_i^2 f_xx + b_i f_x of f on ray i = edge."""
-    return ((f.dt(edge, t, x, l) + 0.5 * c.diffusion(edge, t, x, l)**2 * f.dxx(edge, t, x, l))
-            + c.drift(edge, t, x, l) * f.dx(edge, t, x, l))
+def generator(f: TestFunction, edge, t, x, l, b, sigma):
+    """Ray generator f_t + (1/2) sigma^2 f_xx + b f_x of f, row-wise on rays edge.
+
+    b and sigma are the drift and diffusion of each row's own ray at
+    (t, x, l), as run_batch hands them to on_step.
+    """
+    return ((f.dt(edge, t, x, l) + 0.5 * sigma**2 * f.dxx(edge, t, x, l))
+            + b * f.dx(edge, t, x, l))
 
 
 def vertex_operator(c: CoefficientSet, f: TestFunction, t, l):

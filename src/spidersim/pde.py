@@ -371,7 +371,7 @@ def manufactured_backward(c: CoefficientSet, truth: TestFunction, T: float,
 
     def h_for(e):
         def h(t, x, l, _e=e):
-            return -generator(c, truth, _e, t, x, l)
+            return -generator(truth, _e, t, x, l, c.drift(_e, t, x, l), c.diffusion(_e, t, x, l))
         return h
 
     def h0(t, l):

@@ -216,9 +216,11 @@ def run_batch(
 ) -> BatchResult | FirstHitResult:
     """Advance a batch of paths K steps on the uniform grid.
 
-    ``on_step(k, t, x, edge, l, dl, contact)`` is called once per step with
-    the left-endpoint state (edge already redrawn for paths departing the
-    vertex), the local-time increment of the step and the contact mask.
+    ``on_step(k, t, x, edge, l, dl, contact, b, sigma)`` is called once per
+    step with the left-endpoint state (edge already redrawn for paths
+    departing the vertex), the local-time increment of the step, the contact
+    mask, and the drift and diffusion of each path's ray at that state, as
+    the step used them.
 
     With ``stop_level`` set, absorption is a stop mask on the same loop: at
     the top of every step (and after the last) the paths with x >= stop_level
@@ -315,7 +317,7 @@ def run_batch(
         if on_step is not None:
             # left-endpoint state: the ray redrawn at a contact applies only
             # from the next grid point on
-            on_step(k, t, x, edge, l, dl, contact)
+            on_step(k, t, x, edge, l, dl, contact, bv, sv)
         if shell:
             enter = contact & ~shell_mode
             if enter.any():

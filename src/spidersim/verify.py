@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -229,13 +228,13 @@ def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
         n = hi - lo
         resid = np.zeros((nf, n))
 
-        def on_step(k, t, x, edge, l, dl, contact):
+        def on_step(k, t, x, edge, l, dl, contact, b, sigma):
             if k == ks:
                 for q, f in enumerate(f_list):
                     resid[q] -= f.value(edge, t, x, l)
             if ks <= k < ke:
                 for q, f in enumerate(f_list):
-                    resid[q] -= per_ray(c.I, edge, partial(generator, c, f), t, x, l) * cfg.h
+                    resid[q] -= generator(f, edge, t, x, l, b, sigma) * cfg.h
                 hit = dl > 0
                 if hit.any():
                     th, lh, dlh = t[hit], l[hit], dl[hit]
@@ -287,7 +286,9 @@ def martingale_residual_paths(paths: Sequence[SpiderPath], c: CoefficientSet,
         e_k = p.edge[ks:ke]
         l_k = p.l[ks:ke]
         dl_k = np.diff(p.l)[ks:ke]
-        val -= float(np.sum(per_ray(c.I, e_k, partial(generator, c, f), t_k, x_k, l_k)) * p.h)
+        b_k = per_ray(c.I, e_k, c.drift, t_k, x_k, l_k)
+        sig = per_ray(c.I, e_k, c.diffusion, t_k, x_k, l_k)
+        val -= float(np.sum(generator(f, e_k, t_k, x_k, l_k, b_k, sig)) * p.h)
         hit = dl_k > 0
         if hit.any():
             val -= float(np.sum(vertex_operator(c, f, t_k[hit], l_k[hit]) * dl_k[hit]))
@@ -312,8 +313,9 @@ def ito_residual(p: SpiderPath, c: CoefficientSet, f: TestFunction) -> float:
     dl_k = np.diff(p.l)
     sq = math.sqrt(p.h)
 
-    incr = per_ray(c.I, e_k, partial(generator, c, f), t_k, x_k, l_k) * p.h
+    b_k = per_ray(c.I, e_k, c.drift, t_k, x_k, l_k)
     sig = per_ray(c.I, e_k, c.diffusion, t_k, x_k, l_k)
+    incr = generator(f, e_k, t_k, x_k, l_k, b_k, sig) * p.h
     incr += np.asarray(f.dx(e_k, t_k, x_k, l_k), dtype=float) * sig * sq * p.gauss
     hit = dl_k > 0
     if hit.any():
@@ -553,7 +555,7 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
         fval = np.full(nb, np.nan)
         carry_visit = np.zeros(nb, dtype=bool)
 
-        def on_step(k, t, x, edge, l, dl, contact):
+        def on_step(k, t, x, edge, l, dl, contact, *_):
             nonlocal carry_visit
             undecided = tau_idx < 0
             if spec.kind == "hitting":

@@ -179,3 +179,20 @@ def test_failed_check_exits_1(tmp_path):
     code = main(["validate", "--config", _write(tmp_path, cfg),
                  "--out", str(tmp_path / "out")])
     assert code == 1
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("fk_compare", "grid", {"J": 8, "P": 4}),
+    ("fk_compare", "grid", {"M": "x", "J": 8, "P": 4}),
+    ("fk_compare", "grid", {"M": 8.5, "J": 8, "P": 4}),
+    ("fk", "queries", [[0.0, 0.5, 1, 0.0], 5]),
+], ids=["missing-M", "string-M", "fractional-M", "query-not-a-list"])
+def test_config_shape_errors_exit_2(tmp_path, capsys, block, key, value):
+    cfg = _base_config()
+    cfg["fk"] = {"g": ["0", "0"], "h": ["1", "1"], "queries": [[0.0, 0.4, 1, 0.1]]}
+    cfg["fk_compare"] = {"R": 2.0, "K": 1.0, "grid": {"M": 8, "J": 8, "P": 4}}
+    cfg[block][key] = value
+    code = main(["fk-compare", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{block}." in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spidersim import feynman_kac
 from spidersim.feynman_kac import FKProblem, fk_estimate, fk_vs_pde
 from spidersim.network import constant_coefficients
 from spidersim.pde import PdeGrid
@@ -137,3 +138,15 @@ def test_fk_vs_pde_rejects_boundary_queries():
     with pytest.raises(ValueError, match="truncation"):
         fk_vs_pde(FKProblem(g_edge=_const_g(2, 0.0)), c, [(0.0, 2.95, 1, 0.0)],
                   cfg, PdeGrid(8, 8, 4), R=3.0, K=2.0)
+
+
+def test_fk_vs_pde_checks_every_query_before_solving(monkeypatch):
+    solves = []
+    solve = feynman_kac.solve
+    monkeypatch.setattr(feynman_kac, "solve", lambda *a: solves.append(a) or solve(*a))
+    cfg = SimConfig(h=1e-2, T=0.5, n_paths=10, seed=0)
+    queries = [(0.0, 0.5, 1, 0.0), (0.0, 0.5, 2, 1.9)]  # the second is past 0.9 K
+    with pytest.raises(ValueError, match="truncation"):
+        fk_vs_pde(FKProblem(g_edge=_const_g(2, 0.0)), _c(), queries, cfg, PdeGrid(8, 8, 4),
+                  R=3.0, K=2.0)
+    assert solves == []

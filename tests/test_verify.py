@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spidersim.network import constant_coefficients
+from spidersim.network import CoefficientSet, constant_coefficients
 from spidersim.simulator import SimConfig, SpiderState, simulate_batch, simulate_path
 from spidersim.verify import (
     EstimatorReport,
@@ -72,6 +72,26 @@ def test_martingale_streaming_matches_stored_paths():
     per_path = martingale_residual_paths(res.paths, c, f, 0.0, 0.5)
     rep = martingale_residual(c, init, cfg, f, 0.0, 0.5)
     assert rep.estimates["mean"][0] == pytest.approx(per_path.mean(), abs=1e-12)
+
+
+def test_martingale_residual_reuses_the_kernels_coefficients(monkeypatch):
+    """The generator takes b and sigma from the Euler step: a residual run
+    evaluates drift and diffusion exactly as often as the bare kernel."""
+    calls = {"drift": 0, "diffusion": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _orig=getattr(CoefficientSet, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(CoefficientSet, name, counted)
+    c = _c(I=3, alpha=[0.5, 0.3, 0.2])
+    init = SpiderState(0.0, 0.0, 1, 0.0)
+    cfg = SimConfig(h=1e-3, T=0.05, n_paths=40, seed=9)
+    simulate_batch(c, init, cfg)
+    kernel = dict(calls)
+    calls.update(drift=0, diffusion=0)
+    martingale_residual(c, init, cfg, make_battery(3), 0.0, 0.05)
+    assert kernel["drift"] >= 50
+    assert calls == kernel
 
 
 def test_martingale_residual_battery_passes():
