@@ -16,43 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import coeffexpr, localtime, pde, verify
-from .coeffexpr import CoeffExprError, ConfigError, build_coefficient_set, parse as parse_expr
+from . import localtime, verify
+from .coeffexpr import (CoeffExprError, ConfigError, EvalError, _compile, build_coefficient_set,
+                        choice, edge_exprs, expression, num, num_list, require_keys)
 from .feynman_kac import FKProblem, fk_estimate, fk_vs_pde
 from .network import NetworkError, SamplingPlan, validate_coefficients
 from .pde import PdeError, PdeGrid, PdeProblem, residual as pde_residual, solve as pde_solve
 from .simulator import SimConfig, SimulationError, SpiderState, simulate_batch
 
-class CliConfigError(ValueError):
-    pass
-
-
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
-
-
-def _require_keys(d: dict, allowed: set[str], where: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise CliConfigError(f"unknown keys {sorted(unknown)} in {where}")
-
-
-def _num(d: dict, key: str, where: str, default=None, lo=None, hi=None, integer=False):
-    if key not in d:
-        if default is None:
-            raise CliConfigError(f"missing {where}.{key}")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise CliConfigError(f"{where}.{key} must be a number")
-    if integer and int(v) != v:
-        raise CliConfigError(f"{where}.{key} must be an integer")
-    if lo is not None and v < lo:
-        raise CliConfigError(f"{where}.{key} must be >= {lo}")
-    if hi is not None and v > hi:
-        raise CliConfigError(f"{where}.{key} must be <= {hi}")
-    return int(v) if integer else float(v)
 
 
 def config_hash(cfg: dict) -> str:
@@ -60,48 +34,34 @@ def config_hash(cfg: dict) -> str:
     return hashlib.blake2b(payload, digest_size=8).hexdigest()
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
     text = Path(path).read_text(encoding="utf-8")
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliConfigError(f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}") from exc
-    if not isinstance(cfg, dict):
-        raise CliConfigError(f"{path}: top level must be an object")
-    return cfg
+        raise ConfigError(f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}") from exc
 
 
-def _sim_config(cfg: dict, seed_override: int | None) -> SimConfig:
-    sim = cfg.get("sim")
-    if sim is None:
-        raise CliConfigError("missing 'sim' block")
-    _require_keys(sim, {"h", "T", "delta_shell", "policy", "n_paths", "seed",
-                        "store_paths"}, "sim")
-    policy = sim.get("policy", "reflection")
-    if policy not in ("reflection", "shell"):
-        raise CliConfigError("sim.policy must be 'reflection' or 'shell'")
-    seed = _num(sim, "seed", "sim", default=0, lo=0, integer=True)
-    if seed_override is not None:
-        seed = seed_override
+def _sim_config(block: dict, seed_override: int | None) -> SimConfig:
+    sim = require_keys(block, {"h", "T", "delta_shell", "policy", "n_paths", "seed"}, "sim")
+    seed = num(sim, "seed", "sim", default=0, lo=0, hi=2**64 - 1, integer=True)
     return SimConfig(
-        h=_num(sim, "h", "sim", lo=1e-12),
-        T=_num(sim, "T", "sim", lo=1e-12),
-        delta_shell=_num(sim, "delta_shell", "sim", default=1e-3, lo=1e-12),
-        policy=policy,
-        n_paths=_num(sim, "n_paths", "sim", default=1, lo=0, integer=True),
-        seed=seed,
-        store_paths=bool(sim.get("store_paths", False)),
+        h=num(sim, "h", "sim", lo=1e-12),
+        T=num(sim, "T", "sim", lo=1e-12),
+        delta_shell=num(sim, "delta_shell", "sim", default=1e-3, lo=1e-12),
+        policy=choice(sim, "policy", "sim", ("reflection", "shell"), "reflection"),
+        n_paths=num(sim, "n_paths", "sim", default=1, lo=0, integer=True),
+        seed=seed if seed_override is None else seed_override,
     )
 
 
-def _init_state(cfg: dict) -> SpiderState:
-    init = cfg.get("init") or {}
-    _require_keys(init, {"t", "x", "edge", "l"}, "init")
+def _init_state(cfg: dict, I: int) -> SpiderState:
+    init = require_keys(cfg.get("init"), {"t", "x", "edge", "l"}, "init")
     return SpiderState(
-        t=_num(init, "t", "init", default=0.0, lo=0.0),
-        x=_num(init, "x", "init", default=0.0, lo=0.0),
-        i=_num(init, "edge", "init", default=1, lo=1, integer=True),
-        l=_num(init, "l", "init", default=0.0, lo=0.0),
+        t=num(init, "t", "init", default=0.0, lo=0.0),
+        x=num(init, "x", "init", default=0.0, lo=0.0),
+        i=num(init, "edge", "init", default=1, lo=1, hi=I, integer=True),
+        l=num(init, "l", "init", default=0.0, lo=0.0),
     )
 
 
@@ -134,88 +94,67 @@ def _write_report(path: Path, name: str, params: dict, report: dict, chash: str,
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _expr_fn(src: str, where: str, variables: tuple[str, ...]):
-    """Compiled expression, called with ``variables`` in that order."""
-    try:
-        ast = parse_expr(src)
-    except CoeffExprError as exc:
-        raise CliConfigError(f"in {where}: {exc}") from exc
-    extra = coeffexpr.variables(ast) - set(variables)
-    if extra:
-        raise CliConfigError(f"{where} may use only {variables}, found {sorted(extra)}")
-    return coeffexpr._compile(ast, variables)
-
-
-def _edge_exprs(block, key: str, I: int, variables: tuple[str, ...]):
-    raw = block.get(key)
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        raw = [raw] * I
-    if len(raw) != I:
-        raise CliConfigError(f"{key} needs {I} expressions")
-    return tuple(_expr_fn(s, f"{key}[{i}]", variables) for i, s in enumerate(raw))
+def _edge_fns(block: dict, key: str, where: str, I: int,
+              names: tuple[str, ...] = ("t", "x", "l"), required: bool = True):
+    """Compiled per-ray expressions over names, called in that order."""
+    exprs = edge_exprs(block, key, where, I, names, required)
+    return None if exprs is None else tuple(_compile(e, names) for e in exprs)
 
 
 def _sources(block: dict, where: str, I: int):
     """The payoff g (required), running source h and vertex source h0 of a block."""
-    g_edge = _edge_exprs(block, "g", I, ("x", "l"))
-    if g_edge is None:
-        raise CliConfigError(f"{where}.g is required")
-    h_edge = _edge_exprs(block, "h", I, ("t", "x", "l"))
-    h0 = _expr_fn(block["h0"], f"{where}.h0", ("t", "l")) if "h0" in block else None
-    return g_edge, h_edge, h0
+    h0 = (_compile(expression(block["h0"], f"{where}.h0", ("t", "l")), ("t", "l"))
+          if "h0" in block else None)
+    return (_edge_fns(block, "g", where, I, ("x", "l")),
+            _edge_fns(block, "h", where, I, required=False), h0)
 
 
 def _grid(block: dict, where: str) -> PdeGrid:
-    grid_cfg = block.get("grid") or {}
     where = f"{where}.grid"
-    _require_keys(grid_cfg, {"M", "J", "P"}, where)
-    return PdeGrid(
-        M=_num(grid_cfg, "M", where, lo=2, integer=True),
-        J=_num(grid_cfg, "J", where, lo=2, integer=True),
-        P=_num(grid_cfg, "P", where, lo=2, integer=True),
-    )
+    grid_cfg = require_keys(block.get("grid"), {"M", "J", "P"}, where)
+    return PdeGrid(*(num(grid_cfg, k, where, lo=2, integer=True) for k in "MJP"))
 
 
 def _fk_problem(cfg: dict, I: int) -> tuple[FKProblem, list[tuple]]:
-    block = cfg.get("fk")
-    if block is None:
-        raise CliConfigError("missing 'fk' block")
-    _require_keys(block, {"g", "h", "h0", "h_bound", "queries", "n_paths"}, "fk")
+    block = require_keys(cfg.get("fk"), {"g", "h", "h0", "h_bound", "queries"}, "fk")
     g_edge, h_edge, h0 = _sources(block, "fk", I)
     prob = FKProblem(g_edge=g_edge, h_edge=h_edge, h0=h0,
-                     h_bound=_num(block, "h_bound", "fk", default=10.0, lo=0.0))
-    return prob, _queries(block, "fk")
+                     h_bound=num(block, "h_bound", "fk", default=10.0, lo=0.0))
+    return prob, _queries(block, "fk", I)
 
 
-def _queries(block, where: str) -> list[tuple]:
+def _queries(block: dict, where: str, I: int) -> list[tuple]:
+    """Query points (t, x, ray, l): floats and an int ray label in 1..I."""
     qs = block.get("queries")
-    if not qs:
-        raise CliConfigError(f"missing {where}.queries")
-    if not isinstance(qs, list) or not all(isinstance(q, list) and len(q) == 4 for q in qs):
-        raise CliConfigError(f"{where}.queries entries are [t, x, edge, l]")
-    return [(float(q[0]), float(q[1]), int(q[2]), float(q[3])) for q in qs]
+    if not isinstance(qs, list) or not qs:
+        raise ConfigError(f"{where}.queries must be a non-empty list of [t, x, edge, l]")
+    rows = {f"queries[{k}]": q for k, q in enumerate(qs)}
+    out = []
+    for key in rows:
+        vals = num_list(rows, key, where, lo=0.0)
+        if len(vals) != 4:
+            raise ConfigError(f"{where}.{key} must be [t, x, edge, l]")
+        q = dict(zip(("t", "x", "edge", "l"), vals))
+        q["edge"] = num(q, "edge", f"{where}.{key}", lo=1, hi=I, integer=True)
+        out.append(tuple(q.values()))
+    return out
 
 
 def _pde_problem(cfg: dict, c, sim: SimConfig) -> tuple[PdeProblem, PdeGrid]:
-    block = cfg.get("pde")
-    if block is None:
-        raise CliConfigError("missing 'pde' block")
-    _require_keys(block, {"direction", "R", "K", "grid", "g", "h", "h0", "c",
-                          "psi"}, "pde")
+    block = require_keys(cfg.get("pde"), {"direction", "R", "K", "grid", "g", "h", "h0", "c",
+                                          "psi"}, "pde")
     g_edge, h_edge, h0 = _sources(block, "pde", c.I)
     return PdeProblem(
         coefficients=c,
         T=sim.T,
-        R=_num(block, "R", "pde", lo=1e-12),
-        K=_num(block, "K", "pde", lo=1e-12),
+        R=num(block, "R", "pde", lo=1e-12),
+        K=num(block, "K", "pde", lo=1e-12),
         g_edge=g_edge,
         h_edge=h_edge,
         h0=h0,
-        c_edge=_edge_exprs(block, "c", c.I, ("t", "x", "l")),
-        psi_edge=_edge_exprs(block, "psi", c.I, ("t", "x")),
-        direction=block.get("direction", "backward"),
+        c_edge=_edge_fns(block, "c", "pde", c.I, required=False),
+        psi_edge=_edge_fns(block, "psi", "pde", c.I, ("t", "x"), required=False),
+        direction=choice(block, "direction", "pde", ("backward", "forward"), "backward"),
     ), _grid(block, "pde")
 
 
@@ -236,7 +175,7 @@ def _run_validate(cfg, c, sim, workers):
 
 
 def _run_simulate(cfg, c, sim, workers):
-    init = _init_state(cfg)
+    init = _init_state(cfg, c.I)
     res = simulate_batch(c, init, sim, workers=workers)
     rows = [[i, res.t[i], res.x[i], int(res.edge[i]), res.l[i]] for i in range(res.n)]
     summary = {
@@ -249,13 +188,12 @@ def _run_simulate(cfg, c, sim, workers):
 
 
 def _run_scatter(cfg, c, sim, workers):
-    block = cfg.get("scatter") or {}
-    _require_keys(block, {"t", "ell", "delta", "n"}, "scatter")
+    block = require_keys(cfg.get("scatter"), {"t", "ell", "delta", "n"}, "scatter")
     rep = verify.scattering_distribution(
-        c, _num(block, "t", "scatter", default=0.0, lo=0.0),
-        _num(block, "ell", "scatter", default=0.0, lo=0.0),
-        _num(block, "delta", "scatter", lo=1e-12),
-        _num(block, "n", "scatter", lo=1, integer=True),
+        c, num(block, "t", "scatter", default=0.0, lo=0.0),
+        num(block, "ell", "scatter", default=0.0, lo=0.0),
+        num(block, "delta", "scatter", lo=1e-12),
+        num(block, "n", "scatter", lo=1, integer=True),
         sim, workers=workers)
     freq = rep.estimates["freq"]
     target = rep.estimates["target"]
@@ -266,15 +204,12 @@ def _run_scatter(cfg, c, sim, workers):
 
 
 def _run_exitstats(cfg, c, sim, workers):
-    block = cfg.get("exitstats") or {}
-    _require_keys(block, {"t", "ell", "deltas", "n"}, "exitstats")
-    deltas = [float(d) for d in block.get("deltas", [])]
-    if not deltas:
-        raise CliConfigError("exitstats.deltas must be nonempty")
+    block = require_keys(cfg.get("exitstats"), {"t", "ell", "deltas", "n"}, "exitstats")
     rep = verify.mean_exit_stats(
-        c, _num(block, "t", "exitstats", default=0.0, lo=0.0),
-        _num(block, "ell", "exitstats", default=0.0, lo=0.0),
-        deltas, _num(block, "n", "exitstats", lo=1, integer=True),
+        c, num(block, "t", "exitstats", default=0.0, lo=0.0),
+        num(block, "ell", "exitstats", default=0.0, lo=0.0),
+        num_list(block, "deltas", "exitstats", lo=1e-12),
+        num(block, "n", "exitstats", lo=1, integer=True),
         sim, workers=workers)
     rows = [[r["delta"], r["l_ratio"], r["l_ratio_stderr"], r["theta_ratio"],
              r["theta_ratio_stderr"], r["censored"]] for r in rep.estimates["rows"]]
@@ -283,15 +218,12 @@ def _run_exitstats(cfg, c, sim, workers):
 
 
 def _run_atom(cfg, c, sim, workers):
-    block = cfg.get("atom") or {}
-    _require_keys(block, {"deltas", "oracle"}, "atom")
-    deltas = [float(d) for d in block.get("deltas", [])]
-    if not deltas:
-        raise CliConfigError("atom.deltas must be nonempty")
-    init = _init_state(cfg)
+    block = require_keys(cfg.get("atom"), {"deltas", "oracle"}, "atom")
+    deltas = num_list(block, "deltas", "atom", lo=1e-12)
+    init = _init_state(cfg, c.I)
     res = simulate_batch(c, init, sim, workers=workers)
     oracle = None
-    if block.get("oracle") == "half_normal":
+    if choice(block, "oracle", "atom", (None, "half_normal"), None):
         span = sim.T - init.t
         oracle = lambda d: 2.0 * verify.normal_cdf(d / np.sqrt(span)) - 1.0
     rep = verify.atom_test(res.x, deltas, oracle=oracle, seed=sim.seed)
@@ -303,11 +235,10 @@ def _run_atom(cfg, c, sim, workers):
 
 
 def _run_martingale(cfg, c, sim, workers):
-    block = cfg.get("martingale") or {}
-    _require_keys(block, {"s", "s_prime"}, "martingale")
-    init = _init_state(cfg)
-    s = _num(block, "s", "martingale", default=init.t, lo=0.0)
-    s_prime = _num(block, "s_prime", "martingale", default=sim.T, lo=0.0)
+    block = require_keys(cfg.get("martingale"), {"s", "s_prime"}, "martingale")
+    init = _init_state(cfg, c.I)
+    s = num(block, "s", "martingale", default=init.t, lo=0.0)
+    s_prime = num(block, "s_prime", "martingale", default=sim.T, lo=0.0)
     battery = verify.make_battery(c.I)
     rep = verify.martingale_residual(c, init, sim, battery, s, s_prime, workers=workers)
     rows = [[q, rep.estimates["mean"][q], rep.stderr["mean"][q],
@@ -318,35 +249,30 @@ def _run_martingale(cfg, c, sim, workers):
 
 
 def _run_ito(cfg, c, sim, workers):
-    block = cfg.get("ito") or {}
-    _require_keys(block, {"h_list", "n_paths"}, "ito")
-    hs = [float(h) for h in block.get("h_list", [])]
-    if not hs:
-        raise CliConfigError("ito.h_list must be nonempty")
-    init = _init_state(cfg)
+    block = require_keys(cfg.get("ito"), {"h_list", "n_paths"}, "ito")
+    init = _init_state(cfg, c.I)
     f = verify.make_battery(c.I)[0]
     rep = verify.ito_convergence(
-        c, init, f, hs, sim.T,
-        _num(block, "n_paths", "ito", default=4, lo=1, integer=True), sim.seed)
+        c, init, f, num_list(block, "h_list", "ito", lo=1e-12), sim.T,
+        num(block, "n_paths", "ito", default=4, lo=1, integer=True), sim.seed)
     rows = [list(r) for r in zip(rep.estimates["h"], rep.estimates["mean_max_residual"])]
     return ["h", "mean_max_residual"], rows, dict(block), rep.to_json()
 
 
 def _run_markov(cfg, c, sim, workers):
-    block = cfg.get("markov") or {}
-    _require_keys(block, {"spec", "functional", "lag", "n"}, "markov")
-    spec_cfg = block.get("spec") or {}
-    _require_keys(spec_cfg, {"kind", "level", "time"}, "markov.spec")
+    block = require_keys(cfg.get("markov"), {"spec", "functional", "lag", "n"}, "markov")
+    spec_cfg = require_keys(block.get("spec"), {"kind", "level", "time"}, "markov.spec")
     spec = verify.StoppingSpec(
-        kind=spec_cfg.get("kind", "hitting"),
-        level=spec_cfg.get("level"),
-        time=spec_cfg.get("time"),
+        kind=choice(spec_cfg, "kind", "markov.spec", ("hitting", "fixed_time", "vertex_after"),
+                    "hitting"),
+        level=num(spec_cfg, "level", "markov.spec", lo=0.0) if "level" in spec_cfg else None,
+        time=num(spec_cfg, "time", "markov.spec", lo=0.0) if "time" in spec_cfg else None,
     )
-    init = _init_state(cfg)
+    init = _init_state(cfg, c.I)
     rep = verify.strong_markov_test(
-        c, spec, block.get("functional", "x"),
-        _num(block, "lag", "markov", lo=1e-12),
-        _num(block, "n", "markov", lo=2, integer=True),
+        c, spec, choice(block, "functional", "markov", ("x", "l"), "x"),
+        num(block, "lag", "markov", lo=1e-12),
+        num(block, "n", "markov", lo=2, integer=True),
         sim, init, workers=workers)
     rows = [[rep.estimates["ks_distance"], rep.estimates["p_value"],
              rep.details["censored_frac"], rep.passed]]
@@ -354,12 +280,9 @@ def _run_markov(cfg, c, sim, workers):
 
 
 def _run_localtime(cfg, c, sim, workers):
-    block = cfg.get("localtime") or {}
-    _require_keys(block, {"eps_list", "n_paths"}, "localtime")
-    eps_list = [float(e) for e in block.get("eps_list", [])]
-    if not eps_list:
-        raise CliConfigError("localtime.eps_list must be nonempty")
-    n = _num(block, "n_paths", "localtime", default=200, lo=1, integer=True)
+    block = require_keys(cfg.get("localtime"), {"eps_list", "n_paths"}, "localtime")
+    eps_list = num_list(block, "eps_list", "localtime", lo=1e-12)
+    n = num(block, "n_paths", "localtime", default=200, lo=1, integer=True)
     sums = {e: [0.0, 0.0] for e in eps_list}
     for pid in range(n):
         path, l_exact = localtime.oracle_path(sim.seed, pid, sim.h, sim.T)
@@ -401,12 +324,11 @@ def _run_fk(cfg, c, sim, workers):
 
 def _run_fk_compare(cfg, c, sim, workers):
     prob, queries = _fk_problem(cfg, c.I)
-    block = cfg.get("fk_compare") or {}
-    _require_keys(block, {"R", "K", "grid"}, "fk_compare")
+    block = require_keys(cfg.get("fk_compare"), {"R", "K", "grid"}, "fk_compare")
     rows_out, _ = fk_vs_pde(
         prob, c, queries, sim, _grid(block, "fk_compare"),
-        R=_num(block, "R", "fk_compare", lo=1e-12),
-        K=_num(block, "K", "fk_compare", lo=1e-12),
+        R=num(block, "R", "fk_compare", lo=1e-12),
+        K=num(block, "K", "fk_compare", lo=1e-12),
         workers=workers)
     rows = [[r.query[0], r.query[1], r.query[2], r.query[3], r.mc_mean, r.mc_stderr,
              r.pde_value, r.diff, r.tolerance, r.passed] for r in rows_out]
@@ -447,15 +369,11 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.time()
     try:
-        cfg = _load_config(args.config)
-        _require_keys(cfg, _TOP_KEYS, "config")
-        net = cfg.get("network")
-        if net is None:
-            raise CliConfigError("missing 'network' block")
-        c = build_coefficient_set(net)
-        sim = _sim_config(cfg, args.seed) if "sim" in cfg else None
+        cfg = require_keys(_load_config(args.config), _TOP_KEYS, "config")
+        c = build_coefficient_set(cfg.get("network"))
+        sim = None if cfg.get("sim") is None else _sim_config(cfg["sim"], args.seed)
         if sim is None and args.subcommand != "validate":
-            raise CliConfigError("missing 'sim' block")
+            raise ConfigError("missing 'sim' block")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         chash = config_hash(cfg) + (f"-s{args.seed}" if args.seed is not None else "")
@@ -467,9 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         meta = {"elapsed_seconds": time.time() - started, "written_at": time.time()}
         (out / "run_meta.json").write_text(json.dumps(meta) + "\n", encoding="utf-8")
         return 1 if report.get("pass") is False else 0
-    except coeffexpr.EvalError as exc:
+    except EvalError as exc:
         return _fail(str(exc), 3)
-    except (CliConfigError, ConfigError, CoeffExprError, NetworkError, FileNotFoundError) as exc:
+    except (CoeffExprError, NetworkError, FileNotFoundError) as exc:
         return _fail(str(exc), 2)
     except (SimulationError, PdeError, ValueError) as exc:
         return _fail(str(exc), 3)

@@ -31,6 +31,7 @@ __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "parse", "pretty", "evaluate", "variables",
     "AlphaSpec", "build_coefficient_set",
+    "require_keys", "num", "num_list", "choice", "expression", "edge_exprs",
     "CoeffExprError", "ParseError", "EvalError", "ConfigError",
 ]
 
@@ -396,6 +397,94 @@ def _compile(node: Expr, names: tuple[str, ...] = _VARIABLES):
     return fn
 
 
+# -- typed config readers ------------------------------------------------------
+# Each reads one field of a JSON config block and names it "<where>.<key>" in
+# the ConfigError (or, for expression syntax, the ParseError) it raises.
+
+
+def require_keys(block, allowed, where: str) -> dict:
+    """block as a dict with no keys outside allowed; an absent block (None)
+    reads as empty."""
+    if block is None:
+        return {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys {[f'{where}.{k}' for k in sorted(unknown)]}")
+    return block
+
+
+def num(block: dict, key: str, where: str, default=None, lo=None, hi=None, integer=False):
+    """block[key] as a finite float (an int with integer=True) in [lo, hi];
+    default when absent, required when default is None."""
+    if key not in block:
+        if default is None:
+            raise ConfigError(f"missing {where}.{key}")
+        return default
+    v = block[key]
+    name = f"{where}.{key}"
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{name} must be a number")
+    if isinstance(v, float) and not np.isfinite(v):
+        raise ConfigError(f"{name} must be finite")
+    if integer and int(v) != v:
+        raise ConfigError(f"{name} must be an integer")
+    if lo is not None and v < lo:
+        raise ConfigError(f"{name} must be >= {lo}")
+    if hi is not None and v > hi:
+        raise ConfigError(f"{name} must be <= {hi}")
+    return int(v) if integer else float(v)
+
+
+def num_list(block: dict, key: str, where: str, lo=None) -> list[float]:
+    """block[key] as a non-empty list of floats, each >= lo."""
+    raw = block.get(key)
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{where}.{key} must be a non-empty list of numbers")
+    items = {f"{key}[{i}]": v for i, v in enumerate(raw)}
+    return [num(items, k, where, lo=lo) for k in items]
+
+
+def choice(block: dict, key: str, where: str, options: tuple, default):
+    """block[key] (default when absent), which must be one of options."""
+    v = block.get(key, default)
+    if v not in options:
+        raise ConfigError(f"{where}.{key} must be one of {list(options)}, got {v!r}")
+    return v
+
+
+def expression(src, where: str, names: tuple[str, ...] = _VARIABLES) -> Expr:
+    """The AST of src, an expression that may use only the variables names."""
+    if not isinstance(src, str):
+        raise ConfigError(f"{where} must be an expression string")
+    try:
+        node = parse(src)
+    except ParseError as exc:
+        exc.args = (f"in {where}: {exc}",)
+        raise
+    extra = variables(node) - set(names)
+    if extra:
+        raise ConfigError(f"{where} may use only {' and '.join(names)}, found {sorted(extra)}")
+    return node
+
+
+def edge_exprs(block: dict, key: str, where: str, I: int,
+               names: tuple[str, ...] = _VARIABLES, required: bool = True):
+    """One expression per ray (a single string stands for all I), or None
+    when absent and not required."""
+    raw = block.get(key)
+    if raw is None:
+        if required:
+            raise ConfigError(f"missing {where}.{key}")
+        return None
+    if isinstance(raw, str):
+        raw = [raw] * I
+    if not isinstance(raw, (list, tuple)) or len(raw) != I:
+        raise ConfigError(f"{where}.{key} needs {I} expressions")
+    return tuple(expression(s, f"{where}.{key}[{i}]", names) for i, s in enumerate(raw))
+
+
 # -- coefficient assembly -----------------------------------------------------
 
 
@@ -441,81 +530,42 @@ class AlphaSpec:
         return alpha
 
 
-def _parse_field(value, key: str) -> Expr:
-    try:
-        return parse(value)
-    except ParseError as exc:
-        raise ParseError(f"in {key!r}: {exc.args[0]}", exc.offset, exc.expected) from exc
+_BOUND_DEFAULTS = {"a_lower": 1e-3, "sigma_lower": 1e-3, "b_bound": 10.0,
+                   "sigma_bound": 10.0, "alpha_lip": 10.0}
 
 
 def build_coefficient_set(config: dict) -> CoefficientSet:
-    """Assemble a CoefficientSet from a configuration fragment.
+    """Assemble a CoefficientSet from the "network" block of a config.
 
-    Expected keys: I, b (list of expressions over t,x,l), sigma (same),
-    alpha ({exprs, mode} or a plain list meaning mode "exact"), bounds.
-    The admissibility report on a default sampling grid is attached.
+    Keys: I, b (expressions over t, x, l, one per ray or one for all),
+    sigma (same), alpha ({exprs, mode} or a plain list meaning mode "exact";
+    expressions over t, l), bounds, and grid (the sampling grid of the
+    admissibility report, which is attached).
     """
-    known = {"I", "b", "sigma", "alpha", "bounds", "grid"}
-    unknown = set(config) - known
-    if unknown:
-        raise ConfigError(f"unknown coefficient keys: {sorted(unknown)}")
-    try:
-        I = int(config["I"])
-    except KeyError:
-        raise ConfigError("missing edge count 'I'") from None
-    if I < 2:
-        raise ConfigError(f"need I >= 2, got {I}")
-
-    def expr_list(key) -> list[Expr]:
-        raw = config.get(key)
-        if raw is None:
-            raise ConfigError(f"missing {key!r}")
-        if isinstance(raw, str):
-            raw = [raw] * I
-        if len(raw) != I:
-            raise ConfigError(f"{key!r} needs {I} expressions, got {len(raw)}")
-        return [_parse_field(s, f"{key}[{k}]") for k, s in enumerate(raw)]
-
-    b_exprs = expr_list("b")
-    s_exprs = expr_list("sigma")
+    config = require_keys(config, {"I", "b", "sigma", "alpha", "bounds", "grid"}, "network")
+    I = num(config, "I", "network", lo=2, integer=True)
+    b_exprs = edge_exprs(config, "b", "network", I)
+    s_exprs = edge_exprs(config, "sigma", "network", I)
 
     alpha_cfg = config.get("alpha")
-    if alpha_cfg is None:
-        raise ConfigError("missing 'alpha'")
     if isinstance(alpha_cfg, (list, tuple)):
-        alpha_cfg = {"exprs": list(alpha_cfg), "mode": "exact"}
-    bad = set(alpha_cfg) - {"exprs", "mode"}
-    if bad:
-        raise ConfigError(f"unknown alpha keys: {sorted(bad)}")
-    raw_exprs = alpha_cfg.get("exprs")
-    if raw_exprs is None or len(raw_exprs) != I:
-        raise ConfigError(f"alpha needs {I} expressions")
+        alpha_cfg = {"exprs": alpha_cfg}
+    alpha_cfg = require_keys(alpha_cfg, {"exprs", "mode"}, "network.alpha")
     spec = AlphaSpec(
-        exprs=tuple(_parse_field(s, f"alpha[{k}]") for k, s in enumerate(raw_exprs)),
-        mode=alpha_cfg.get("mode", "exact"),
+        exprs=edge_exprs(alpha_cfg, "exprs", "network.alpha", I, ("t", "l")),
+        mode=choice(alpha_cfg, "mode", "network.alpha", ("exact", "renormalize"), "exact"),
     )
 
-    bounds_cfg = dict(config.get("bounds") or {})
-    bad = set(bounds_cfg) - {"a_lower", "sigma_lower", "b_bound", "sigma_bound", "alpha_lip"}
-    if bad:
-        raise ConfigError(f"unknown bounds keys: {sorted(bad)}")
-    bounds = CoefficientBounds(
-        a_lower=float(bounds_cfg.get("a_lower", 1e-3)),
-        sigma_lower=float(bounds_cfg.get("sigma_lower", 1e-3)),
-        b_bound=float(bounds_cfg.get("b_bound", 10.0)),
-        sigma_bound=float(bounds_cfg.get("sigma_bound", 10.0)),
-        alpha_lip=float(bounds_cfg.get("alpha_lip", 10.0)),
-    )
+    bounds_cfg = require_keys(config.get("bounds"), _BOUND_DEFAULTS, "network.bounds")
+    bounds = CoefficientBounds(**{k: num(bounds_cfg, k, "network.bounds", default=v, lo=0.0)
+                                  for k, v in _BOUND_DEFAULTS.items()})
 
-    grid_cfg = dict(config.get("grid") or {})
-    bad = set(grid_cfg) - {"T", "x_max", "l_max", "n"}
-    if bad:
-        raise ConfigError(f"unknown grid keys: {sorted(bad)}")
+    grid_cfg = require_keys(config.get("grid"), {"T", "x_max", "l_max", "n"}, "network.grid")
     plan = SamplingPlan.default(
-        T=float(grid_cfg.get("T", 1.0)),
-        x_max=float(grid_cfg.get("x_max", 4.0)),
-        l_max=float(grid_cfg.get("l_max", 4.0)),
-        n=int(grid_cfg.get("n", 9)),
+        T=num(grid_cfg, "T", "network.grid", default=1.0, lo=1e-12),
+        x_max=num(grid_cfg, "x_max", "network.grid", default=4.0, lo=1e-12),
+        l_max=num(grid_cfg, "l_max", "network.grid", default=4.0, lo=1e-12),
+        n=num(grid_cfg, "n", "network.grid", default=9, lo=2, integer=True),
     )
 
     cset = CoefficientSet(

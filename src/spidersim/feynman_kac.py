@@ -23,6 +23,9 @@ from .simulator import SimConfig, map_path_blocks, run_batch
 
 __all__ = ["FKProblem", "FKEstimate", "FKComparisonRow", "fk_estimate", "fk_vs_pde"]
 
+PAYOFF_CONTINUITY_TOL = 1e-9  # largest payoff jump across the rays at the vertex
+RICHARDSON_FACTOR = 1.5       # inflation of the coarse-vs-fine grid gap
+
 
 @dataclass(frozen=True)
 class FKProblem:
@@ -33,15 +36,15 @@ class FKProblem:
     h0: Callable | None = None
     h_bound: float = 10.0
 
-    def check(self, I: int, l_samples=None, tol: float = 1e-9) -> None:
+    def check(self, I: int) -> None:
         """Vertex continuity of the payoff and the declared ceiling for the
         running costs, sampled."""
         if len(self.g_edge) != I:
             raise ValueError("payoff needs one entry per ray")
-        ls = np.linspace(0.0, 3.0, 13) if l_samples is None else np.asarray(l_samples)
+        ls = np.linspace(0.0, 3.0, 13)
         ref = np.asarray(self.g_edge[0](0.0, ls), dtype=float)
         for g in self.g_edge[1:]:
-            if np.max(np.abs(np.asarray(g(0.0, ls), dtype=float) - ref)) > tol:
+            if np.max(np.abs(np.asarray(g(0.0, ls), dtype=float) - ref)) > PAYOFF_CONTINUITY_TOL:
                 raise ValueError("terminal payoff is discontinuous at the vertex")
         if self.h_edge is not None:
             ts = np.linspace(0.0, 1.0, 5)
@@ -144,16 +147,17 @@ def to_pde_problem(prob: FKProblem, c: CoefficientSet, T: float, R: float, K: fl
 def fk_vs_pde(prob: FKProblem, c: CoefficientSet, queries: Sequence[tuple],
               cfg: SimConfig, grid: PdeGrid, R: float, K: float,
               psi_edge: tuple[Callable, ...] | None = None,
-              richardson_factor: float = 1.5, workers: int = 1,
-              ) -> tuple[list[FKComparisonRow], PdeSolution]:
+              workers: int = 1) -> tuple[list[FKComparisonRow], PdeSolution]:
     """Compare the Monte Carlo representation with the grid solver.
 
     The per-query grid-error budget is the coarse-vs-fine solution gap at
     the query (first-order scheme, so the gap estimates the fine-grid
-    error), inflated by richardson_factor.  A row passes when
+    error), inflated by RICHARDSON_FACTOR.  A row passes when
     |MC - PDE| <= 3 stderr + budget.
     """
     for q in queries:
+        if q[0] >= cfg.T or not 1 <= q[2] <= c.I:
+            raise ValueError(f"query {q} needs t < T = {cfg.T} and a ray in 1..{c.I}")
         if q[1] > 0.9 * R or q[3] > 0.9 * K:
             raise ValueError(f"query {q} too close to the truncation boundary")
     pde_prob = to_pde_problem(prob, c, cfg.T, R, K, psi_edge=psi_edge)
@@ -165,7 +169,7 @@ def fk_vs_pde(prob: FKProblem, c: CoefficientSet, queries: Sequence[tuple],
         est = fk_estimate(prob, c, q, cfg, workers=workers)
         u_fine = fine.at(t_q, x_q, e_q, l_q)
         u_coarse = coarse.at(t_q, x_q, e_q, l_q)
-        budget = richardson_factor * abs(u_fine - u_coarse)
+        budget = RICHARDSON_FACTOR * abs(u_fine - u_coarse)
         diff = abs(est.mean - u_fine)
         # rounding floor so exactly-solvable problems do not fail on ulps
         tol = 3.0 * est.stderr + budget + 1e-12 * (1.0 + abs(u_fine))

@@ -221,7 +221,7 @@ def occupation_batch(c: CoefficientSet, init, cfg, eps: float,
                   path_ids=np.arange(lo, hi, dtype=np.uint64), on_step=on_step)
         return {"occ": acc / (2.0 * eps)}
 
-    return map_path_blocks(cfg.n_paths, workers, block).get("occ", np.zeros(0))
+    return map_path_blocks(cfg.n_paths, workers, block)["occ"]
 
 
 def skorokhod_oracle(gaussians: np.ndarray, h: float, T: float,

@@ -31,6 +31,8 @@ __all__ = [
     "constant_coefficients",
 ]
 
+CONTINUITY_TOL = 1e-12  # largest jump across the rays at the vertex a test function may have
+
 
 class NetworkError(ValueError):
     pass
@@ -454,11 +456,11 @@ class TestFunction:
     def dx_vertex(self, edge, t, l):
         return self.dx(edge, t, np.zeros_like(np.asarray(l, dtype=float)), l)
 
-    def check_continuity(self, t, l, tol: float = 1e-12) -> bool:
+    def check_continuity(self, t, l) -> bool:
         vals = [self.value(e, t, np.zeros_like(np.asarray(l, dtype=float)), l)
                 for e in range(1, self.I + 1)]
         ref = vals[0]
-        return all(np.max(np.abs(v - ref)) <= tol for v in vals[1:])
+        return all(np.max(np.abs(v - ref)) <= CONTINUITY_TOL for v in vals[1:])
 
     def check_derivatives(self, rng: np.random.Generator, n: int = 100,
                           step: float = 1e-4, tol: float = 1e-6) -> float:

@@ -47,6 +47,11 @@ __all__ = [
     "flat_profile_poly",
 ]
 
+# compatibility_gap samples the corner relation at this many l values, with
+# this finite-difference step
+_GAP_SAMPLES = 21
+_GAP_STEP = 1e-5
+
 
 class PdeError(RuntimeError):
     pass
@@ -110,12 +115,13 @@ class PdeProblem:
     def data_slice(self, edge: int, x, l):
         return _full(self.g_edge[edge - 1](x, l), x, l)
 
-    def compatibility_gap(self, n_samples: int = 21, step: float = 1e-5) -> float:
+    def compatibility_gap(self) -> float:
         """Largest violation of the corner relation between the data slice
         and the vertex coupling, sampled in l (backward problems)."""
         if self.direction != "backward":
             return 0.0
-        ls = np.linspace(0.0, self.K * (1 - 1e-9), n_samples)
+        step = _GAP_STEP
+        ls = np.linspace(0.0, self.K * (1 - 1e-9), _GAP_SAMPLES)
         t_ref = self.T
         dg_l = (self.data_slice(1, 0.0, ls + step) - self.data_slice(1, 0.0, np.maximum(ls - step, 0.0))) / (
             step + np.minimum(ls, step))
@@ -170,6 +176,8 @@ class PdeSolution:
 
     def at(self, t: float, x: float, edge: int, l: float) -> float:
         """Trilinear interpolation on one ray."""
+        if not 1 <= edge <= self.values.shape[0]:
+            raise PdeError(f"ray label {edge} outside 1..{self.values.shape[0]}")
         tg, xg, lg = self.grid.axes(self.problem)
         u = self.values[edge - 1]
 

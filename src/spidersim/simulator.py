@@ -214,7 +214,8 @@ def run_batch(
     gaussians: np.ndarray | None = None,
     stop_level: float | None = None,
 ) -> BatchResult | FirstHitResult:
-    """Advance a batch of paths K steps on the uniform grid.
+    """Advance a batch of paths K steps on the uniform grid; the loop ends
+    early when no path is left (at once for an empty batch).
 
     ``on_step(k, t, x, edge, l, dl, contact, b, sigma)`` is called once per
     step with the left-endpoint state (edge already redrawn for paths
@@ -225,9 +226,9 @@ def run_batch(
     With ``stop_level`` set, absorption is a stop mask on the same loop: at
     the top of every step (and after the last) the paths with x >= stop_level
     book their time, ray and local time and are dropped from the running
-    arrays, which are copied once into shorter ones.  The loop ends early
-    when no path is left, and a FirstHitResult is returned, censored where
-    theta is nan; on_step and store are not supported there.
+    arrays, which are copied once into shorter ones.  A FirstHitResult is
+    returned, censored where theta is nan; on_step and store are not
+    supported there.
     """
     cfg.check_against(c)
     seed = cfg.seed if seed is None else seed
@@ -287,9 +288,7 @@ def run_batch(
                 keep = ~hit
                 t, x, edge, l, ids, pending, shell_mode, rows = (
                     a[keep] for a in (t, x, edge, l, ids, pending, shell_mode, rows))
-            if rows.size == 0:
-                break
-        if k == K:
+        if k == K or x.size == 0:
             break
         base = np.uint64(_SLOTS * k)
         if pending.any():
@@ -375,11 +374,10 @@ def map_path_blocks(n_paths: int, workers: int, fn: Callable[[int, int], dict]):
     and stitch per-path arrays back together in index order.
 
     Results are identical for any worker count because every path owns its
-    random stream and blocks are merged positionally.
+    random stream and blocks are merged positionally.  Zero paths make the
+    single call fn(0, 0).
     """
-    if n_paths == 0:
-        return {}
-    workers = max(1, int(workers))
+    workers = max(1, min(int(workers), n_paths))
     if workers == 1:
         return fn(0, n_paths)
     bounds = np.linspace(0, n_paths, workers + 1).astype(int)
@@ -411,10 +409,6 @@ def simulate_batch(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
             out["paths"] = res.paths
         return out
 
-    if cfg.n_paths == 0:
-        empty = np.empty(0)
-        return BatchResult(t=empty, x=empty.copy(), edge=np.empty(0, dtype=np.int64),
-                           l=empty.copy(), paths=[] if cfg.store_paths else None)
     parts = map_path_blocks(cfg.n_paths, workers, block)
     return BatchResult(t=parts["t"], x=parts["x"], edge=parts["edge"], l=parts["l"],
                        paths=parts.get("paths"))
@@ -435,6 +429,6 @@ def first_hit(c: CoefficientSet, init: SpiderState, cfg: SimConfig, level: float
         return {"theta": res.theta, "edge": res.edge, "l": res.l,
                 "censored": res.censored}
 
-    parts = map_path_blocks(cfg.n_paths, workers, block) if cfg.n_paths else block(0, 0)
+    parts = map_path_blocks(cfg.n_paths, workers, block)
     return FirstHitResult(theta=parts["theta"], edge=parts["edge"], l=parts["l"],
                           censored=parts["censored"], level=level)

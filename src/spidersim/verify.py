@@ -199,6 +199,17 @@ def _vertex_scale(f: TestFunction, c: CoefficientSet, T: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _window_steps(t0: float, h: float, K: int, s: float, s_prime: float) -> tuple[int, int]:
+    """Step indices of the window [s, s'] on the grid t0 + k h, 0 <= k <= K."""
+    ks = round((s - t0) / h)
+    ke = round((s_prime - t0) / h)
+    if not 0 <= ks < ke <= K:
+        raise ValueError("need init.t <= s < s' <= T")
+    if abs(t0 + ks * h - s) > 1e-9 or abs(t0 + ke * h - s_prime) > 1e-9:
+        raise ValueError("window endpoints must be grid times")
+    return ks, ke
+
+
 def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
                         fs: Sequence[TestFunction] | TestFunction,
                         s: float, s_prime: float, workers: int = 1,
@@ -214,14 +225,9 @@ def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
     f_list = [fs] if single else list(fs)
     if cfg.n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
-    if not (init.t <= s < s_prime <= cfg.T):
-        raise ValueError("need init.t <= s < s' <= T")
     bias_c = DEFAULT_BIAS_CONSTANT if bias_constant is None else bias_constant
     K = cfg.n_steps(init.t)
-    ks = round((s - init.t) / cfg.h)
-    ke = round((s_prime - init.t) / cfg.h)
-    if abs(init.t + ks * cfg.h - s) > 1e-9 or abs(init.t + ke * cfg.h - s_prime) > 1e-9:
-        raise ValueError("window endpoints must be grid times")
+    ks, ke = _window_steps(init.t, cfg.h, K, s, s_prime)
     nf = len(f_list)
 
     def block(lo, hi):
@@ -276,8 +282,7 @@ def martingale_residual_paths(paths: Sequence[SpiderPath], c: CoefficientSet,
     """Stored-path variant of the compensated increment (one value per path)."""
     out = np.empty(len(paths))
     for p_i, p in enumerate(paths):
-        ks = round((s - p.t0) / p.h)
-        ke = round((s_prime - p.t0) / p.h)
+        ks, ke = _window_steps(p.t0, p.h, p.x.size - 1, s, s_prime)
         times = p.times()
         val = float(f.value(int(p.edge[ke]), times[ke], p.x[ke], p.l[ke])) - float(
             f.value(int(p.edge[ks]), times[ks], p.x[ks], p.l[ks]))
@@ -371,15 +376,13 @@ def ito_convergence(c: CoefficientSet, init: SpiderState, f: TestFunction,
 
 
 def scattering_distribution(c: CoefficientSet, t: float, ell: float, delta: float,
-                            n: int, cfg: SimConfig, workers: int = 1,
-                            enforce_preconditions: bool = True) -> EstimatorReport:
+                            n: int, cfg: SimConfig, workers: int = 1) -> EstimatorReport:
     """Empirical law of the exit ray at the first passage of level delta,
     started at the junction with local-time level ell, against alpha(t, ell)."""
-    if enforce_preconditions:
-        if delta < 2.0 * cfg.delta_shell:
-            raise ValueError("need delta >= 2 delta_shell")
-        if n < 10**4:
-            raise ValueError("need at least 1e4 excursions")
+    if delta < 2.0 * cfg.delta_shell:
+        raise ValueError("need delta >= 2 delta_shell")
+    if n < 10**4:
+        raise ValueError("need at least 1e4 excursions")
     cfg_n = replace(cfg, n_paths=n)
     fh = first_hit(c, SpiderState(t, 0.0, 1, ell), cfg_n, delta, workers=workers)
     ok = ~fh.censored
@@ -449,10 +452,13 @@ def mean_exit_stats(c: CoefficientSet, t: float, ell: float, deltas: Sequence[fl
 # ---------------------------------------------------------------------------
 
 
+ATOM_STABILITY_BAND = 1.5   # largest ratio of the per-delta slopes p_hat/delta
+ATOM_ENVELOPE_SLACK = 1.25  # p_hat may exceed the fitted envelope C*delta by this factor
+
+
 def atom_test(x_samples: np.ndarray, deltas: Sequence[float],
               oracle: Callable[[float], float] | None = None,
-              seed: int = 0, stability_band: float = 1.5,
-              envelope_slack: float = 1.25) -> EstimatorReport:
+              seed: int = 0) -> EstimatorReport:
     """Empirical P(x(t) <= delta) over a decreasing delta grid.
 
     Passes when the probabilities are monotone in delta (automatic from
@@ -468,8 +474,8 @@ def atom_test(x_samples: np.ndarray, deltas: Sequence[float],
     slopes = phat / np.asarray(ds)
     c_fit = float(slopes.mean())
     monotone = bool(np.all(np.diff(phat) <= 1e-15))
-    stable = float(slopes.max() / max(slopes.min(), 1e-300)) <= stability_band
-    bounded = bool(np.all(phat <= envelope_slack * c_fit * np.asarray(ds)))
+    stable = float(slopes.max() / max(slopes.min(), 1e-300)) <= ATOM_STABILITY_BAND
+    bounded = bool(np.all(phat <= ATOM_ENVELOPE_SLACK * c_fit * np.asarray(ds)))
     passed = monotone and stable and bounded
     details = {
         "deltas": ds, "c_fit": c_fit, "monotone": monotone,

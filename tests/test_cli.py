@@ -196,3 +196,65 @@ def test_config_shape_errors_exit_2(tmp_path, capsys, block, key, value):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"{block}." in capsys.readouterr().err
+
+
+def _all_blocks_config():
+    """The base config with a small block for every subcommand."""
+    cfg = _base_config()
+    cfg["network"]["alpha"] = {"exprs": ["0.5", "0.5"], "mode": "exact"}
+    cfg["network"]["grid"] = {"n": 9}
+    cfg["init"] = {"x": 0.0, "edge": 1}
+    cfg["fk"] = {"g": ["0", "0"], "h": ["1", "1"], "queries": [[0.0, 0.4, 1, 0.1]]}
+    cfg["fk_compare"] = {"R": 2.0, "K": 1.0, "grid": {"M": 8, "J": 8, "P": 4}}
+    cfg["exitstats"] = {"deltas": [0.04], "n": 100}
+    cfg["atom"] = {"deltas": [0.1]}
+    cfg["ito"] = {"h_list": [5e-3]}
+    cfg["localtime"] = {"eps_list": [0.1], "n_paths": 2}
+    cfg["pde"] = {"R": 2.0, "K": 1.0, "grid": {"M": 6, "J": 8, "P": 4}, "g": ["0", "0"]}
+    cfg["markov"] = {"spec": {"kind": "fixed_time", "time": 0.01}, "lag": 0.02, "n": 100}
+    return cfg
+
+
+@pytest.mark.parametrize("sub, key, value", [
+    ("validate", "network.I", 2.5),
+    ("validate", "network.I", "2"),
+    ("validate", "network.b", 5),
+    ("validate", "network.alpha.exprs", 5),
+    ("validate", "network.bounds.a_lower", "x"),
+    ("validate", "network.grid.n", 2.7),
+    ("validate", "sim.store_paths", "no"),
+    ("simulate", "init.edge", 3),
+    ("fk", "fk.g", 5),
+    ("fk", "fk.queries", [[0, "a", 1, 0]]),
+    ("fk", "fk.queries", [[0.0, 0.4, 1.5, 0.1]]),
+    ("fk-compare", "fk.queries", [[0.0, 0.4, 3, 0.1]]),
+    ("exitstats", "exitstats.deltas", ["x"]),
+    ("atom", "atom.deltas", 0.1),
+    ("ito", "ito.h_list", 0.01),
+    ("localtime", "localtime.eps_list", "x"),
+    ("atom", "atom.oracle", "halfnormal"),
+    ("pde", "pde.direction", "up"),
+    ("markov", "markov.functional", "y"),
+    ("markov", "markov.spec.kind", "hit"),
+    ("markov", "markov.spec.time", "x"),
+], ids=["I-fractional", "I-string", "b-number", "alpha-exprs-number", "bound-string",
+        "grid-n-fractional", "store_paths", "init-edge-above-I", "fk-g-number",
+        "query-string", "query-ray-fractional", "query-ray-above-I", "deltas-string-item",
+        "atom-deltas-number", "h_list-number", "eps_list-string", "oracle-unknown",
+        "direction-unknown", "functional-unknown", "spec-kind-unknown", "spec-time-string"])
+def test_wrong_typed_value_exits_2_and_names_it(tmp_path, capsys, sub, key, value):
+    cfg = _all_blocks_config()
+    *path, leaf = key.split(".")
+    block = cfg
+    for k in path:
+        block = block[k]
+    block[leaf] = value
+    code = main([sub, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_validate(tmp_path, path):
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0

@@ -150,3 +150,16 @@ def test_fk_vs_pde_checks_every_query_before_solving(monkeypatch):
         fk_vs_pde(FKProblem(g_edge=_const_g(2, 0.0)), _c(), queries, cfg, PdeGrid(8, 8, 4),
                   R=3.0, K=2.0)
     assert solves == []
+
+
+@pytest.mark.parametrize("bad", [(0.0, 0.5, 3, 0.0), (0.0, 0.5, 0, 0.0), (0.5, 0.5, 1, 0.0)],
+                         ids=["ray-above-I", "ray-zero", "t-at-horizon"])
+def test_fk_vs_pde_rejects_ray_and_time_before_solving(monkeypatch, bad):
+    solves = []
+    solve = feynman_kac.solve
+    monkeypatch.setattr(feynman_kac, "solve", lambda *a: solves.append(a) or solve(*a))
+    cfg = SimConfig(h=1e-2, T=0.5, n_paths=10, seed=0)
+    with pytest.raises(ValueError, match="ray in 1..2"):
+        fk_vs_pde(FKProblem(g_edge=_const_g(2, 0.0)), _c(), [(0.0, 0.5, 1, 0.0), bad], cfg,
+                  PdeGrid(8, 8, 4), R=3.0, K=2.0)
+    assert solves == []

@@ -63,6 +63,16 @@ def test_vertex_value_shared_across_edges():
     assert np.abs(vals[:, :, 0, :] - vals[:1, :, 0, :]).max() == 0.0
 
 
+def test_at_rejects_ray_labels_outside_the_star():
+    prob = PdeProblem(coefficients=_const_c(3, alpha=[0.5, 0.3, 0.2]), T=0.5, R=1.5, K=1.0,
+                      g_edge=tuple(lambda x, l, e=e: e * np.asarray(x) for e in range(3)))
+    sol = solve(prob, PdeGrid(8, 8, 6))
+    assert len({sol.at(0.1, 0.5, e, 0.2) for e in (1, 2, 3)}) == 3
+    for edge in (0, -1, 4):
+        with pytest.raises(PdeError, match="ray"):
+            sol.at(0.1, 0.5, edge, 0.2)
+
+
 @pytest.mark.parametrize("direction", ["backward", "forward"])
 def test_scalar_and_partial_callables_match_full_arrays(direction):
     # callables may return Python scalars or ignore an argument; the solver

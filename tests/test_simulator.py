@@ -169,9 +169,12 @@ def test_batch_determinism_and_worker_invariance():
 
 def test_empty_batch():
     c = _c()
-    res = simulate_batch(c, SpiderState(0.0, 1.0, 1, 0.0),
-                         SimConfig(h=1e-2, T=0.1, n_paths=0, seed=1))
-    assert res.n == 0
+    for store, workers in ((False, 1), (True, 1), (False, 3), (True, 3)):
+        res = simulate_batch(c, SpiderState(0.0, 1.0, 1, 0.0),
+                             SimConfig(h=1e-2, T=0.1, n_paths=0, seed=1, store_paths=store),
+                             workers=workers)
+        assert res.n == 0 and res.x.dtype == np.float64 and res.edge.dtype == np.int64
+        assert res.paths == ([] if store else None)
 
 
 def test_radial_alpha_invariance():

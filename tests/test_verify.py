@@ -110,6 +110,16 @@ def test_martingale_window_inside_horizon():
     assert abs(rep.estimates["mean"][0]) < 0.2
 
 
+@pytest.mark.parametrize("s, s_prime", [(-0.1, 0.3), (0.0049, 0.3), (0.4, 0.2)],
+                         ids=["before-start", "off-grid", "reversed"])
+def test_martingale_paths_window_checked(s, s_prime):
+    c = _c()
+    path = simulate_path(c, SpiderState(0.0, 0.5, 1, 0.0), SimConfig(h=1e-2, T=0.5, seed=2))
+    assert path.x.size == 51
+    with pytest.raises(ValueError):
+        martingale_residual_paths([path], c, identity_function(2), s, s_prime)
+
+
 def test_ks_two_sample_behaviour():
     rng = np.random.default_rng(1)
     a = rng.standard_normal(2500)
