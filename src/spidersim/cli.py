@@ -22,7 +22,7 @@ from .coeffexpr import (CoeffExprError, ConfigError, EvalError, _compile, build_
 from .feynman_kac import FKProblem, fk_estimate, fk_vs_pde
 from .network import NetworkError, SamplingPlan, validate_coefficients
 from .pde import PdeError, PdeGrid, PdeProblem, residual as pde_residual, solve as pde_solve
-from .simulator import SimConfig, SimulationError, SpiderState, simulate_batch
+from .simulator import SEED_LIMIT, SimConfig, SimulationError, SpiderState, simulate_batch
 
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
@@ -44,14 +44,15 @@ def _load_config(path: str):
 
 def _sim_config(block: dict, seed_override: int | None) -> SimConfig:
     sim = require_keys(block, {"h", "T", "delta_shell", "policy", "n_paths", "seed"}, "sim")
-    seed = num(sim, "seed", "sim", default=0, lo=0, hi=2**64 - 1, integer=True)
+    if seed_override is not None:  # --seed replaces sim.seed
+        sim = {**sim, "seed": seed_override}
     return SimConfig(
         h=num(sim, "h", "sim", lo=1e-12),
         T=num(sim, "T", "sim", lo=1e-12),
         delta_shell=num(sim, "delta_shell", "sim", default=1e-3, lo=1e-12),
         policy=choice(sim, "policy", "sim", ("reflection", "shell"), "reflection"),
         n_paths=num(sim, "n_paths", "sim", default=1, lo=0, integer=True),
-        seed=seed if seed_override is None else seed_override,
+        seed=num(sim, "seed", "sim", default=0, lo=0, hi=SEED_LIMIT - 1, integer=True),
     )
 
 
@@ -193,7 +194,7 @@ def _run_scatter(cfg, c, sim, workers):
         c, num(block, "t", "scatter", default=0.0, lo=0.0),
         num(block, "ell", "scatter", default=0.0, lo=0.0),
         num(block, "delta", "scatter", lo=1e-12),
-        num(block, "n", "scatter", lo=1, integer=True),
+        num(block, "n", "scatter", lo=verify.MIN_EXCURSIONS, integer=True),
         sim, workers=workers)
     freq = rep.estimates["freq"]
     target = rep.estimates["target"]
@@ -237,8 +238,8 @@ def _run_atom(cfg, c, sim, workers):
 def _run_martingale(cfg, c, sim, workers):
     block = require_keys(cfg.get("martingale"), {"s", "s_prime"}, "martingale")
     init = _init_state(cfg, c.I)
-    s = num(block, "s", "martingale", default=init.t, lo=0.0)
-    s_prime = num(block, "s_prime", "martingale", default=sim.T, lo=0.0)
+    s = num(block, "s", "martingale", default=init.t, lo=init.t, hi=sim.T)
+    s_prime = num(block, "s_prime", "martingale", default=sim.T, lo=s, hi=sim.T)
     battery = verify.make_battery(c.I)
     rep = verify.martingale_residual(c, init, sim, battery, s, s_prime, workers=workers)
     rows = [[q, rep.estimates["mean"][q], rep.stderr["mean"][q],
@@ -262,12 +263,11 @@ def _run_ito(cfg, c, sim, workers):
 def _run_markov(cfg, c, sim, workers):
     block = require_keys(cfg.get("markov"), {"spec", "functional", "lag", "n"}, "markov")
     spec_cfg = require_keys(block.get("spec"), {"kind", "level", "time"}, "markov.spec")
-    spec = verify.StoppingSpec(
-        kind=choice(spec_cfg, "kind", "markov.spec", ("hitting", "fixed_time", "vertex_after"),
-                    "hitting"),
-        level=num(spec_cfg, "level", "markov.spec", lo=0.0) if "level" in spec_cfg else None,
-        time=num(spec_cfg, "time", "markov.spec", lo=0.0) if "time" in spec_cfg else None,
-    )
+    kind = choice(spec_cfg, "kind", "markov.spec", tuple(verify.STOPPING_RULES), "hitting")
+    need = verify.STOPPING_RULES[kind]  # read even when absent, so that it is required
+    spec = verify.StoppingSpec(kind=kind, **{
+        key: num(spec_cfg, key, "markov.spec", lo=0.0)
+        for key in ("level", "time") if key in spec_cfg or key == need})
     init = _init_state(cfg, c.I)
     rep = verify.strong_markov_test(
         c, spec, choice(block, "functional", "markov", ("x", "l"), "x"),

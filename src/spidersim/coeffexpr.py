@@ -530,6 +530,13 @@ class AlphaSpec:
         return alpha
 
 
+def _evaluator(node: Expr):
+    """A number literal (or its negation) as the number: a constant coefficient."""
+    if isinstance(node, Neg) and isinstance(node.operand, Num):
+        return -node.operand.value
+    return node.value if isinstance(node, Num) else _compile(node)
+
+
 _BOUND_DEFAULTS = {"a_lower": 1e-3, "sigma_lower": 1e-3, "b_bound": 10.0,
                    "sigma_bound": 10.0, "alpha_lip": 10.0}
 
@@ -570,8 +577,8 @@ def build_coefficient_set(config: dict) -> CoefficientSet:
 
     cset = CoefficientSet(
         I=I,
-        b=tuple(_compile(e) for e in b_exprs),
-        sigma=tuple(_compile(e) for e in s_exprs),
+        b=tuple(_evaluator(e) for e in b_exprs),
+        sigma=tuple(_evaluator(e) for e in s_exprs),
         alpha=spec.evaluator(),
         bounds=bounds,
     )

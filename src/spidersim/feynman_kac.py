@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import CoefficientSet, per_ray
+from .network import CoefficientSet, per_ray, ray_partition
 from .pde import PdeGrid, PdeProblem, PdeSolution, solve
 from .simulator import SimConfig, map_path_blocks, run_batch
 
@@ -56,12 +56,14 @@ class FKProblem:
                     raise ValueError("running cost exceeds its declared bound")
 
     def payoff(self, edge_arr: np.ndarray, x: np.ndarray, l: np.ndarray) -> np.ndarray:
-        return per_ray(len(self.g_edge), edge_arr, lambda e, *a: self.g_edge[e - 1](*a), x, l)
+        parts = ray_partition(len(self.g_edge), edge_arr)
+        return per_ray(parts, lambda e, *a: self.g_edge[e - 1](*a), x, l)
 
-    def running(self, edge_arr, t, x, l) -> np.ndarray:
+    def running(self, parts, t, x, l) -> np.ndarray:
+        """h_i(t, x, l) on each row's ray i; parts is the rows' ray_partition."""
         if self.h_edge is None:
             return np.zeros_like(x)
-        return per_ray(len(self.h_edge), edge_arr, lambda e, *a: self.h_edge[e - 1](*a), t, x, l)
+        return per_ray(parts, lambda e, *a: self.h_edge[e - 1](*a), t, x, l)
 
     def vertex_cost(self, t, l) -> np.ndarray:
         if self.h0 is None:
@@ -100,8 +102,8 @@ def _per_path_values(prob: FKProblem, c: CoefficientSet, query, cfg: SimConfig,
     n = hi - lo
     acc = np.zeros(n)
 
-    def on_step(k, t, x, edge, l, dl, contact, *_):
-        acc_step = prob.running(edge, t, x, l) * cfg.h
+    def on_step(k, t, x, edge, l, dl, contact, b, sigma, parts):
+        acc_step = prob.running(parts, t, x, l) * cfg.h
         if prob.h0 is not None:
             hit = dl > 0
             if hit.any():

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, TestFunction, per_ray
+from .network import CoefficientSet, TestFunction, per_ray, ray_partition
 from .simulator import SpiderPath
 
 __all__ = [
@@ -172,7 +172,10 @@ def _shell_integrand(c: CoefficientSet, subset: tuple[int, ...], eps: float, t, 
     selected[list(subset)] = True
     rows = np.flatnonzero(x <= eps)
     rows = rows[selected[edge[rows]]]
-    sig = per_ray(c.I, edge[rows], c.diffusion, t[rows], np.zeros(rows.size), l[rows])
+    e = edge[rows]
+    if c.sigma_table is not None:
+        return rows, c.sigma_table[e - 1] ** 2
+    sig = per_ray(ray_partition(c.I, e), c.diffusion, t[rows], np.zeros(rows.size), l[rows])
     return rows, sig**2
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "TestFunction",
     "TfTerm",
     "distance",
+    "ray_partition",
     "per_ray",
     "generator",
     "vertex_operator",
@@ -73,18 +74,28 @@ def distance(p: NetworkPoint, q: NetworkPoint) -> float:
     return p.x + q.x
 
 
-def per_ray(n_rays: int, edge, fn: Callable, *args) -> np.ndarray:
+def ray_partition(n_rays: int, edge) -> list[np.ndarray]:
+    """Row indices of each ray e = 1..n_rays in the labels edge, in row order."""
+    return [np.flatnonzero(edge == e) for e in range(1, n_rays + 1)]
+
+
+def per_ray(parts: Sequence[np.ndarray], fn: Callable, *args) -> np.ndarray:
     """Row-wise fn(edge, *args) for a batch that mixes rays.
 
-    fn(e, *rows) is called once for each ray e in 1..n_rays that has rows,
-    on the rows of args where edge == e; the results are gathered into a
-    float64 array shaped like edge.
+    parts is the batch's ray_partition: fn(e, *rows) is called once for each
+    ray e that has rows, on those rows of args; the results are gathered
+    into a float64 array with one entry per row.  A partition whose row
+    counts do not sum to the batch size (a label outside 1..I) is an error.
     """
-    out = np.empty(np.shape(edge))
-    for e in range(1, n_rays + 1):
-        m = edge == e
-        if m.any():
-            out[m] = fn(e, *(a[m] for a in args))
+    n = np.shape(args[0])[0]
+    covered = sum(rows.size for rows in parts)
+    if covered != n:
+        raise NetworkError(f"ray partition covers {covered} of {n} rows "
+                           f"(a ray label outside 1..{len(parts)}?)")
+    out = np.empty(n)
+    for e, rows in enumerate(parts, 1):
+        if rows.size:
+            out[rows] = fn(e, *(a[rows] for a in args))
     return out
 
 
@@ -106,32 +117,47 @@ class CoefficientBounds:
             raise NetworkError("need a_lower > 0")
 
 
+def _evaluate(fn, t, x, l) -> np.ndarray:
+    """fn(t, x, l) as a float64 array; a number fn is a constant coefficient."""
+    if callable(fn):
+        return np.asarray(fn(t, x, l), dtype=np.float64)
+    return np.full(np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(l)), fn, float)
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Per-edge drift/diffusion evaluators and the edge-selection weights.
 
-    b[e] and sigma[e] map (t, x, l) -> real, alpha maps (t, l) -> weight
-    vector of length I.  Evaluators must be pure and accept numpy arrays.
+    b[e] and sigma[e] map (t, x, l) -> real (a number is a constant), alpha
+    maps (t, l) -> weight vector of length I.  Evaluators must be pure and
+    accept numpy arrays.  b_table (sigma_table) holds the I values of b
+    (sigma) when every ray's is a number, and is None otherwise.
     """
 
     I: int
-    b: tuple[Callable, ...]
-    sigma: tuple[Callable, ...]
+    b: tuple[Callable | float, ...]
+    sigma: tuple[Callable | float, ...]
     alpha: Callable
     bounds: CoefficientBounds
     validation: "ValidationReport | None" = field(default=None, compare=False)
+    b_table: np.ndarray | None = field(init=False, repr=False, compare=False)
+    sigma_table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.I < 2:
             raise NetworkError(f"need at least two edges, got I={self.I}")
         if len(self.b) != self.I or len(self.sigma) != self.I:
             raise NetworkError("need one b and one sigma evaluator per edge")
+        for name in ("b", "sigma"):
+            fns = getattr(self, name)
+            object.__setattr__(self, f"{name}_table", None if any(map(callable, fns))
+                               else np.array(fns, dtype=np.float64))
 
     def drift(self, edge: int, t, x, l):
-        return np.asarray(self.b[edge - 1](t, x, l), dtype=np.float64)
+        return _evaluate(self.b[edge - 1], t, x, l)
 
     def diffusion(self, edge: int, t, x, l):
-        return np.asarray(self.sigma[edge - 1](t, x, l), dtype=np.float64)
+        return _evaluate(self.sigma[edge - 1], t, x, l)
 
     def alpha_matrix(self, t, l) -> np.ndarray:
         """Weights as an (n, I) array for 1-d inputs (or (I,) for scalars).
@@ -163,7 +189,7 @@ def constant_coefficients(
     alpha: Sequence[float] | None = None,
     bounds: CoefficientBounds | None = None,
 ) -> CoefficientSet:
-    """Convenience constructor for constant-coefficient sets."""
+    """Constant-coefficient set: b and sigma are numbers, so both have tables."""
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (I,)).copy()
     drift = np.broadcast_to(np.asarray(b, dtype=float), (I,)).copy()
     if alpha is None:
@@ -182,10 +208,6 @@ def constant_coefficients(
             alpha_lip=1e-9,
         )
 
-    def make_const(v):
-        return lambda t, x, l: np.broadcast_to(np.float64(v), np.broadcast_shapes(
-            np.shape(t), np.shape(x), np.shape(l))).copy()
-
     def alpha_fn(t, l, _al=al):
         t = np.asarray(t, dtype=np.float64)
         if t.ndim == 0:
@@ -194,8 +216,8 @@ def constant_coefficients(
 
     return CoefficientSet(
         I=I,
-        b=tuple(make_const(v) for v in drift),
-        sigma=tuple(make_const(v) for v in sig),
+        b=tuple(drift.tolist()),
+        sigma=tuple(sig.tolist()),
         alpha=alpha_fn,
         bounds=bounds,
     )

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, per_ray
+from .network import CoefficientSet, per_ray, ray_partition
 
 __all__ = [
     "SpiderState",
@@ -52,6 +52,7 @@ _GAUSS_SLOT = 0
 _CONTACT_SLOT = 1
 _DEPART_SLOT = 2
 _SLOTS = 3
+SEED_LIMIT = 2**64  # seeds are 64-bit Philox keys: 0 <= seed < SEED_LIMIT
 
 
 class SimulationError(RuntimeError):
@@ -89,7 +90,7 @@ class SimConfig:
             raise SimulationError(f"unknown vertex policy {self.policy!r}")
         if self.n_paths < 0:
             raise SimulationError("n_paths must be nonnegative")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= int(self.seed) < SEED_LIMIT):
             raise SimulationError("seed must fit in 64 bits")
 
     def n_steps(self, t_start: float = 0.0) -> int:
@@ -217,11 +218,14 @@ def run_batch(
     """Advance a batch of paths K steps on the uniform grid; the loop ends
     early when no path is left (at once for an empty batch).
 
-    ``on_step(k, t, x, edge, l, dl, contact, b, sigma)`` is called once per
-    step with the left-endpoint state (edge already redrawn for paths
-    departing the vertex), the local-time increment of the step, the contact
-    mask, and the drift and diffusion of each path's ray at that state, as
-    the step used them.
+    ``on_step(k, t, x, edge, l, dl, contact, b, sigma, parts)`` is called
+    once per step with the left-endpoint state (edge already redrawn for
+    paths departing the vertex), the local-time increment of the step, the
+    contact mask, the drift and diffusion of each path's ray at that state,
+    as the step used them, and ``parts = ray_partition(c.I, edge)``, which
+    the step builds once and evaluates drift and diffusion on ray by ray.
+    A constant family (``c.b_table``, ``c.sigma_table``) is read as
+    ``table[edge - 1]`` instead; a step that needs no partition builds none.
 
     With ``stop_level`` set, absorption is a stop mask on the same loop: at
     the top of every step (and after the last) the paths with x >= stop_level
@@ -271,6 +275,7 @@ def run_batch(
         exit_l = np.full(n, np.nan)
         rows = np.arange(n)  # output row of each running path
 
+    need_parts = on_step is not None or c.b_table is None or c.sigma_table is None
     ids = path_ids
     pending = x == 0.0
     shell_mode = np.zeros(n, dtype=bool)
@@ -304,8 +309,10 @@ def run_batch(
             g = gaussians[rows, k]
         else:
             g = gaussians[:, k]
-        bv = per_ray(c.I, edge, c.drift, t, x, l)
-        sv = per_ray(c.I, edge, c.diffusion, t, x, l)
+        parts = ray_partition(c.I, edge) if need_parts else None
+        bv = per_ray(parts, c.drift, t, x, l) if c.b_table is None else c.b_table[edge - 1]
+        sv = (per_ray(parts, c.diffusion, t, x, l) if c.sigma_table is None
+              else c.sigma_table[edge - 1])
         y = x + bv * h + sv * sq * g
         if not np.all(np.isfinite(y)):
             raise SimulationError(f"non-finite proposal at step {k}")
@@ -316,7 +323,7 @@ def run_batch(
         if on_step is not None:
             # left-endpoint state: the ray redrawn at a contact applies only
             # from the next grid point on
-            on_step(k, t, x, edge, l, dl, contact, bv, sv)
+            on_step(k, t, x, edge, l, dl, contact, bv, sv, parts)
         if shell:
             enter = contact & ~shell_mode
             if enter.any():

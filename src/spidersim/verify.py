@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, TestFunction, TfTerm, generator, per_ray, vertex_operator
+from .network import (CoefficientSet, TestFunction, TfTerm, generator, per_ray, ray_partition,
+                      vertex_operator)
 from .simulator import (
     SimConfig,
     SpiderPath,
@@ -52,6 +53,7 @@ __all__ = [
 # constant dominates calibrate_bias_constant on the driftless reflected
 # case (measured 1.0 and 2.0 across seeds at n = 6000, h in {4e-4, 1e-4})
 DEFAULT_BIAS_CONSTANT = 2.5
+MIN_EXCURSIONS = 10**4  # fewest first passages scattering_distribution accepts
 
 
 @dataclass
@@ -234,7 +236,7 @@ def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
         n = hi - lo
         resid = np.zeros((nf, n))
 
-        def on_step(k, t, x, edge, l, dl, contact, b, sigma):
+        def on_step(k, t, x, edge, l, dl, contact, b, sigma, *_):
             if k == ks:
                 for q, f in enumerate(f_list):
                     resid[q] -= f.value(edge, t, x, l)
@@ -277,6 +279,15 @@ def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
     )
 
 
+def _path_steps(p: SpiderPath, c: CoefficientSet, ks: int, ke: int):
+    """Steps ks..ke-1 of a stored path: left-endpoint t, x, edge, l, the dl
+    of each step, and the drift and diffusion of each step's ray."""
+    t_k, x_k, e_k, l_k = p.times()[ks:ke], p.x[ks:ke], p.edge[ks:ke], p.l[ks:ke]
+    parts = ray_partition(c.I, e_k)
+    return (t_k, x_k, e_k, l_k, np.diff(p.l)[ks:ke],
+            per_ray(parts, c.drift, t_k, x_k, l_k), per_ray(parts, c.diffusion, t_k, x_k, l_k))
+
+
 def martingale_residual_paths(paths: Sequence[SpiderPath], c: CoefficientSet,
                               f: TestFunction, s: float, s_prime: float) -> np.ndarray:
     """Stored-path variant of the compensated increment (one value per path)."""
@@ -286,13 +297,7 @@ def martingale_residual_paths(paths: Sequence[SpiderPath], c: CoefficientSet,
         times = p.times()
         val = float(f.value(int(p.edge[ke]), times[ke], p.x[ke], p.l[ke])) - float(
             f.value(int(p.edge[ks]), times[ks], p.x[ks], p.l[ks]))
-        t_k = times[ks:ke]
-        x_k = p.x[ks:ke]
-        e_k = p.edge[ks:ke]
-        l_k = p.l[ks:ke]
-        dl_k = np.diff(p.l)[ks:ke]
-        b_k = per_ray(c.I, e_k, c.drift, t_k, x_k, l_k)
-        sig = per_ray(c.I, e_k, c.diffusion, t_k, x_k, l_k)
+        t_k, x_k, e_k, l_k, dl_k, b_k, sig = _path_steps(p, c, ks, ke)
         val -= float(np.sum(generator(f, e_k, t_k, x_k, l_k, b_k, sig)) * p.h)
         hit = dl_k > 0
         if hit.any():
@@ -310,24 +315,15 @@ def ito_residual(p: SpiderPath, c: CoefficientSet, f: TestFunction) -> float:
     """
     if p.gauss is None or p.gauss.size != p.K:
         raise ValueError("path does not store its driving gaussians")
-    times = p.times()
-    t_k = times[:-1]
-    x_k = p.x[:-1]
-    e_k = p.edge[:-1]
-    l_k = p.l[:-1]
-    dl_k = np.diff(p.l)
-    sq = math.sqrt(p.h)
-
-    b_k = per_ray(c.I, e_k, c.drift, t_k, x_k, l_k)
-    sig = per_ray(c.I, e_k, c.diffusion, t_k, x_k, l_k)
+    t_k, x_k, e_k, l_k, dl_k, b_k, sig = _path_steps(p, c, 0, p.K)
     incr = generator(f, e_k, t_k, x_k, l_k, b_k, sig) * p.h
-    incr += np.asarray(f.dx(e_k, t_k, x_k, l_k), dtype=float) * sig * sq * p.gauss
+    incr += np.asarray(f.dx(e_k, t_k, x_k, l_k), dtype=float) * sig * math.sqrt(p.h) * p.gauss
     hit = dl_k > 0
     if hit.any():
         vt = np.zeros_like(x_k)
         vt[hit] = vertex_operator(c, f, t_k[hit], l_k[hit])
         incr += vt * dl_k
-    lhs = np.asarray(f.value(p.edge, times, p.x, p.l), dtype=float)
+    lhs = np.asarray(f.value(p.edge, p.times(), p.x, p.l), dtype=float)
     resid = lhs - lhs[0] - np.concatenate([[0.0], np.cumsum(incr)])
     return float(np.max(np.abs(resid)))
 
@@ -381,7 +377,7 @@ def scattering_distribution(c: CoefficientSet, t: float, ell: float, delta: floa
     started at the junction with local-time level ell, against alpha(t, ell)."""
     if delta < 2.0 * cfg.delta_shell:
         raise ValueError("need delta >= 2 delta_shell")
-    if n < 10**4:
+    if n < MIN_EXCURSIONS:
         raise ValueError("need at least 1e4 excursions")
     cfg_n = replace(cfg, n_paths=n)
     fh = first_hit(c, SpiderState(t, 0.0, 1, ell), cfg_n, delta, workers=workers)
@@ -500,6 +496,8 @@ def atom_test(x_samples: np.ndarray, deltas: Sequence[float],
 # restart property
 # ---------------------------------------------------------------------------
 
+STOPPING_RULES = {"hitting": "level", "fixed_time": "time", "vertex_after": "time"}
+
 
 @dataclass(frozen=True)
 class StoppingSpec:
@@ -508,6 +506,7 @@ class StoppingSpec:
     kind "hitting": first grid time the radial position crosses ``level``
     (from the initial side).  kind "fixed_time": the deterministic time
     ``time``.  kind "vertex_after": first vertex visit at or after ``time``.
+    STOPPING_RULES names the field each kind needs.
     """
 
     kind: str
@@ -515,12 +514,11 @@ class StoppingSpec:
     time: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("hitting", "fixed_time", "vertex_after"):
+        if self.kind not in STOPPING_RULES:
             raise ValueError(f"unknown stopping rule {self.kind!r}")
-        if self.kind == "hitting" and self.level is None:
-            raise ValueError("hitting rule needs a level")
-        if self.kind in ("fixed_time", "vertex_after") and self.time is None:
-            raise ValueError(f"{self.kind} rule needs a time")
+        need = STOPPING_RULES[self.kind]
+        if getattr(self, need) is None:
+            raise ValueError(f"{self.kind} rule needs a {need}")
 
 
 def _functional(spec: str | Callable) -> Callable:

@@ -258,3 +258,22 @@ def test_wrong_typed_value_exits_2_and_names_it(tmp_path, capsys, sub, key, valu
                          ids=lambda p: p.name)
 def test_shipped_configs_validate(tmp_path, path):
     assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("sub, blocks, flags, key", [
+    ("markov", {"markov": {"spec": {"kind": "hitting"}, "lag": 0.02, "n": 100}}, [],
+     "markov.spec.level"),
+    ("scatter", {"scatter": {"delta": 0.05, "n": 100}}, [], "scatter.n"),
+    ("martingale", {"martingale": {"s": 0.3}}, [], "martingale.s"),
+    ("simulate", {}, ["--seed", "-1"], "sim.seed"),
+], ids=["hitting-without-level", "scatter-below-min-excursions", "s-past-horizon",
+        "negative-seed-flag"])
+def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks, flags, key):
+    """Values of the right type that break a precondition of the library
+    call are configuration errors (exit 2), not runtime errors (exit 3)."""
+    cfg = _all_blocks_config()  # sim.T is 0.25
+    cfg.update(blocks)
+    code = main([sub, "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert key in err

@@ -11,6 +11,8 @@ from spidersim.network import (
     TfTerm,
     constant_coefficients,
     distance,
+    per_ray,
+    ray_partition,
     validate_coefficients,
 )
 
@@ -147,3 +149,18 @@ def test_vertex_views_are_edge_independent():
     assert np.allclose(f.dl(1, t, np.zeros(2), l), f.dl(2, t, np.zeros(2), l), atol=1e-14)
     # slopes genuinely differ across edges at the vertex
     assert not np.allclose(f.dx_vertex(1, t, l), f.dx_vertex(2, t, l))
+
+
+def test_per_ray_gathers_each_rays_rows():
+    edge = np.array([2, 1, 2, 2, 1])
+    x = np.arange(5.0)
+    parts = ray_partition(3, edge)
+    assert [r.tolist() for r in parts] == [[1, 4], [0, 2, 3], []]
+    assert per_ray(parts, lambda e, x: 10.0 * e + x, x).tolist() == [20, 11, 22, 23, 14]
+
+
+@pytest.mark.parametrize("edge", [[1, 3, 2], [0, 1, 2]], ids=["label-above-I", "label-zero"])
+def test_per_ray_rejects_a_partition_that_misses_rows(edge):
+    edge = np.array(edge)
+    with pytest.raises(NetworkError, match="covers 2 of 3 rows"):
+        per_ray(ray_partition(2, edge), lambda e, x: x, np.zeros(3))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spidersim.coeffexpr import build_coefficient_set
 from spidersim.localtime import oracle_path
 from spidersim.network import CoefficientBounds, CoefficientSet, constant_coefficients
 from spidersim.rng import gaussians
@@ -267,3 +268,88 @@ def test_gaussian_injection_reproduces_counter_streams():
                   gaussians=g)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.l, b.l)
+
+
+# b, sigma, alpha of a 3-ray constant family, and its bounds
+_B, _SIGMA, _ALPHA = (0.1, -0.2, 0.0), (1.0, 0.8, 1.2), (0.5, 0.3, 0.2)
+_BOUNDS = {"a_lower": 0.1, "sigma_lower": 0.5, "b_bound": 0.5, "sigma_bound": 1.2,
+           "alpha_lip": 1.0}
+
+
+def _constant_families():
+    """The same constant family three ways: constant_coefficients, config
+    expressions that are numbers, and config expressions in x that evaluate
+    to the same numbers (0*x is 0 for every x >= 0)."""
+    def config(fmt):
+        return build_coefficient_set({
+            "I": 3, "b": [fmt.format(v) for v in _B], "sigma": [fmt.format(v) for v in _SIGMA],
+            "alpha": [str(a) for a in _ALPHA], "bounds": _BOUNDS})
+    return {"constant": constant_coefficients(3, sigma=_SIGMA, b=_B, alpha=_ALPHA,
+                                              bounds=CoefficientBounds(**_BOUNDS)),
+            "numbers": config("{}"), "expressions": config("{} + 0*x")}
+
+
+def test_constant_tables_equal_their_evaluators():
+    sets = _constant_families()
+    t, x, l = np.linspace(0, 1, 7), np.linspace(0, 3, 7), np.linspace(0, 2, 7)
+    for name in ("constant", "numbers"):
+        c = sets[name]
+        assert c.b_table.tolist() == list(_B) and c.sigma_table.tolist() == list(_SIGMA)
+        for e in (1, 2, 3):
+            assert np.array_equal(c.drift(e, t, x, l), np.full(7, c.b_table[e - 1]))
+            assert np.array_equal(c.diffusion(e, t, x, l), np.full(7, c.sigma_table[e - 1]))
+            assert c.drift(e, 0.5, 1.0, 0.0).shape == ()
+    assert sets["expressions"].b_table is None and sets["expressions"].sigma_table is None
+
+
+@pytest.mark.parametrize("policy, stop_level", [("reflection", None), ("shell", None),
+                                                ("reflection", 0.3), ("shell", 0.3)],
+                         ids=["reflection", "shell", "absorbing-reflection", "absorbing-shell"])
+def test_constant_tables_match_ray_by_ray_evaluation_bit_for_bit(policy, stop_level):
+    cfg = SimConfig(h=1e-4, T=0.02, delta_shell=0.05, policy=policy, seed=4)
+    x0 = np.linspace(0.0, 0.2, 300)
+    results = {name: run_batch(c, cfg, K=cfg.n_steps(), t0=0.0, x0=x0, edge0=2, l0=0.1,
+                               path_ids=np.arange(300, dtype=np.uint64), stop_level=stop_level)
+               for name, c in _constant_families().items()}
+    ref = results.pop("constant")
+    fields = ("t", "x", "edge", "l") if stop_level is None else ("theta", "edge", "l", "censored")
+    for res in results.values():
+        for f in fields:
+            assert np.array_equal(getattr(res, f), getattr(ref, f), equal_nan=True), f
+    if stop_level is not None:
+        assert 0 < ref.censored.sum() < 300
+
+
+def test_constant_family_skips_coefficient_dispatch(monkeypatch):
+    sets = _constant_families()
+    calls = []
+    for name in ("drift", "diffusion"):
+        orig = getattr(CoefficientSet, name)
+        monkeypatch.setattr(CoefficientSet, name,
+                            lambda self, *a, _orig=orig: calls.append(1) or _orig(self, *a))
+    cfg = SimConfig(h=1e-3, T=0.05, n_paths=20, seed=1)
+    simulate_batch(sets["constant"], SpiderState(0.0, 0.0, 1, 0.0), cfg)
+    assert calls == []
+    simulate_batch(sets["expressions"], SpiderState(0.0, 0.0, 1, 0.0), cfg)
+    assert len(calls) >= 2 * 50
+
+
+@pytest.mark.parametrize("family", ["constant", "expressions"])
+def test_on_step_gets_the_steps_ray_partition(family):
+    c = _constant_families()[family]
+    c = CoefficientSet(I=3, b=c.b, sigma=c.sigma, bounds=c.bounds,
+                       alpha=lambda t, l: np.array([0.6, 0.4, 0.0]))  # ray 3 is never drawn
+    seen = []
+
+    def on_step(k, t, x, edge, l, dl, contact, b, sigma, parts):
+        assert len(parts) == 3
+        for e, rows in enumerate(parts, 1):
+            assert np.array_equal(rows, np.flatnonzero(edge == e))
+        seen.append([rows.size for rows in parts])
+
+    cfg = SimConfig(h=1e-3, T=0.05, seed=2)
+    run_batch(c, cfg, K=cfg.n_steps(), t0=0.0, x0=np.linspace(0, 0.1, 50), edge0=1, l0=0.0,
+              on_step=on_step)
+    sizes = np.array(seen)
+    assert sizes.shape == (50, 3) and (sizes.sum(axis=1) == 50).all()
+    assert (sizes[1:, 1] > 0).any() and (sizes[:, 2] == 0).all()

@@ -83,7 +83,12 @@ def test_martingale_residual_reuses_the_kernels_coefficients(monkeypatch):
             calls[_name] += 1
             return _orig(self, *args)
         monkeypatch.setattr(CoefficientSet, name, counted)
-    c = _c(I=3, alpha=[0.5, 0.3, 0.2])
+    base = _c(I=3, alpha=[0.5, 0.3, 0.2])
+    # the same values as callables, which the kernel evaluates ray by ray
+    # (numbers would make a constant family, read from its table)
+    c = CoefficientSet(I=3, b=(lambda t, x, l: 0.0 * x,) * 3,
+                       sigma=(lambda t, x, l: 1.0 + 0.0 * x,) * 3,
+                       alpha=base.alpha, bounds=base.bounds)
     init = SpiderState(0.0, 0.0, 1, 0.0)
     cfg = SimConfig(h=1e-3, T=0.05, n_paths=40, seed=9)
     simulate_batch(c, init, cfg)
