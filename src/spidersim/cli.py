@@ -110,6 +110,14 @@ def _sources(block: dict, where: str, I: int):
             _edge_fns(block, "h", where, I, required=False), h0)
 
 
+def _steps(value: float, key: str, t0: float, h: float) -> int:
+    """The k with value = t0 + k h (verify.grid_step); off that grid, a config error on key."""
+    k = verify.grid_step(t0, h, value)
+    if k is None:
+        raise ConfigError(f"{key} must be {t0!r} plus a whole number of steps of sim.h = {h!r}")
+    return k
+
+
 def _grid(block: dict, where: str) -> PdeGrid:
     where = f"{where}.grid"
     grid_cfg = require_keys(block.get("grid"), {"M", "J", "P"}, where)
@@ -193,7 +201,7 @@ def _run_scatter(cfg, c, sim, workers):
     rep = verify.scattering_distribution(
         c, num(block, "t", "scatter", default=0.0, lo=0.0),
         num(block, "ell", "scatter", default=0.0, lo=0.0),
-        num(block, "delta", "scatter", lo=1e-12),
+        num(block, "delta", "scatter", lo=verify.MIN_DELTA_SHELLS * sim.delta_shell),
         num(block, "n", "scatter", lo=verify.MIN_EXCURSIONS, integer=True),
         sim, workers=workers)
     freq = rep.estimates["freq"]
@@ -209,7 +217,7 @@ def _run_exitstats(cfg, c, sim, workers):
     rep = verify.mean_exit_stats(
         c, num(block, "t", "exitstats", default=0.0, lo=0.0),
         num(block, "ell", "exitstats", default=0.0, lo=0.0),
-        num_list(block, "deltas", "exitstats", lo=1e-12),
+        num_list(block, "deltas", "exitstats", lo=sim.delta_shell),  # first_hit's floor
         num(block, "n", "exitstats", lo=1, integer=True),
         sim, workers=workers)
     rows = [[r["delta"], r["l_ratio"], r["l_ratio_stderr"], r["theta_ratio"],
@@ -240,6 +248,9 @@ def _run_martingale(cfg, c, sim, workers):
     init = _init_state(cfg, c.I)
     s = num(block, "s", "martingale", default=init.t, lo=init.t, hi=sim.T)
     s_prime = num(block, "s_prime", "martingale", default=sim.T, lo=s, hi=sim.T)
+    if _steps(s, "martingale.s", init.t, sim.h) == _steps(s_prime, "martingale.s_prime",
+                                                            init.t, sim.h):
+        raise ConfigError("martingale.s_prime must be at least one sim.h step after martingale.s")
     battery = verify.make_battery(c.I)
     rep = verify.martingale_residual(c, init, sim, battery, s, s_prime, workers=workers)
     rows = [[q, rep.estimates["mean"][q], rep.stderr["mean"][q],
@@ -269,9 +280,11 @@ def _run_markov(cfg, c, sim, workers):
         key: num(spec_cfg, key, "markov.spec", lo=0.0)
         for key in ("level", "time") if key in spec_cfg or key == need})
     init = _init_state(cfg, c.I)
+    lag = num(block, "lag", "markov", lo=1e-12)
+    if _steps(lag, "markov.lag", 0.0, sim.h) < 1:
+        raise ConfigError("markov.lag must be at least one step of sim.h")
     rep = verify.strong_markov_test(
-        c, spec, choice(block, "functional", "markov", ("x", "l"), "x"),
-        num(block, "lag", "markov", lo=1e-12),
+        c, spec, choice(block, "functional", "markov", ("x", "l"), "x"), lag,
         num(block, "n", "markov", lo=2, integer=True),
         sim, init, workers=workers)
     rows = [[rep.estimates["ks_distance"], rep.estimates["p_value"],

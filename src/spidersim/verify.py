@@ -54,6 +54,8 @@ __all__ = [
 # case (measured 1.0 and 2.0 across seeds at n = 6000, h in {4e-4, 1e-4})
 DEFAULT_BIAS_CONSTANT = 2.5
 MIN_EXCURSIONS = 10**4  # fewest first passages scattering_distribution accepts
+MIN_DELTA_SHELLS = 2.0  # scattering_distribution's level delta is at least this many delta_shell
+GRID_TOL = 1e-9  # largest gap between a window endpoint or a lag and its grid time
 
 
 @dataclass
@@ -201,14 +203,19 @@ def _vertex_scale(f: TestFunction, c: CoefficientSet, T: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def grid_step(t0: float, h: float, t: float) -> int | None:
+    """The k with t0 + k h = t to within GRID_TOL, or None when t is off that grid."""
+    k = round((t - t0) / h)
+    return k if abs(t0 + k * h - t) <= GRID_TOL else None
+
+
 def _window_steps(t0: float, h: float, K: int, s: float, s_prime: float) -> tuple[int, int]:
     """Step indices of the window [s, s'] on the grid t0 + k h, 0 <= k <= K."""
-    ks = round((s - t0) / h)
-    ke = round((s_prime - t0) / h)
+    ks, ke = grid_step(t0, h, s), grid_step(t0, h, s_prime)
+    if ks is None or ke is None:
+        raise ValueError("window endpoints must be grid times")
     if not 0 <= ks < ke <= K:
         raise ValueError("need init.t <= s < s' <= T")
-    if abs(t0 + ks * h - s) > 1e-9 or abs(t0 + ke * h - s_prime) > 1e-9:
-        raise ValueError("window endpoints must be grid times")
     return ks, ke
 
 
@@ -375,7 +382,7 @@ def scattering_distribution(c: CoefficientSet, t: float, ell: float, delta: floa
                             n: int, cfg: SimConfig, workers: int = 1) -> EstimatorReport:
     """Empirical law of the exit ray at the first passage of level delta,
     started at the junction with local-time level ell, against alpha(t, ell)."""
-    if delta < 2.0 * cfg.delta_shell:
+    if delta < MIN_DELTA_SHELLS * cfg.delta_shell:
         raise ValueError("need delta >= 2 delta_shell")
     if n < MIN_EXCURSIONS:
         raise ValueError("need at least 1e4 excursions")
@@ -545,8 +552,8 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
         raise ValueError("need at least two paths for a two-sample test")
     fn = _functional(functional)
     K = cfg.n_steps(init.t)
-    U = round(lag / cfg.h)
-    if abs(U * cfg.h - lag) > 1e-9 or U < 1:
+    U = grid_step(0.0, cfg.h, lag)
+    if U is None or U < 1:
         raise ValueError("lag must be a positive whole number of steps")
     going_up = spec.kind == "hitting" and init.x < spec.level
 

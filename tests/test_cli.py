@@ -266,8 +266,17 @@ def test_shipped_configs_validate(tmp_path, path):
     ("scatter", {"scatter": {"delta": 0.05, "n": 100}}, [], "scatter.n"),
     ("martingale", {"martingale": {"s": 0.3}}, [], "martingale.s"),
     ("simulate", {}, ["--seed", "-1"], "sim.seed"),
+    ("scatter", {"scatter": {"delta": 0.0015, "n": 10**4}}, [], "scatter.delta"),
+    ("exitstats", {"exitstats": {"deltas": [0.04, 0.0005], "n": 100}}, [],
+     "exitstats.deltas[1]"),
+    ("martingale", {"martingale": {"s": 0.1, "s_prime": 0.1}}, [], "martingale.s_prime"),
+    ("martingale", {"martingale": {"s": 0.1005, "s_prime": 0.2}}, [], "martingale.s"),
+    ("martingale", {"martingale": {"s": 0.1, "s_prime": 0.2005}}, [], "martingale.s_prime"),
+    ("markov", {"markov": {"spec": {"kind": "fixed_time", "time": 0.01}, "lag": 0.0205,
+                           "n": 100}}, [], "markov.lag"),
 ], ids=["hitting-without-level", "scatter-below-min-excursions", "s-past-horizon",
-        "negative-seed-flag"])
+        "negative-seed-flag", "scatter-delta-below-two-shells", "exit-delta-below-shell",
+        "empty-window", "s-off-grid", "s_prime-off-grid", "lag-off-grid"])
 def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks, flags, key):
     """Values of the right type that break a precondition of the library
     call are configuration errors (exit 2), not runtime errors (exit 3)."""

@@ -11,9 +11,11 @@ from spidersim.network import (
     TfTerm,
     constant_coefficients,
     distance,
+    generator,
     per_ray,
     ray_partition,
     validate_coefficients,
+    vertex_operator,
 )
 
 
@@ -164,3 +166,95 @@ def test_per_ray_rejects_a_partition_that_misses_rows(edge):
     edge = np.array(edge)
     with pytest.raises(NetworkError, match="covers 2 of 3 rows"):
         per_ray(ray_partition(2, edge), lambda e, x: x, np.zeros(3))
+
+
+# -- oracle: the one-pass evaluation against the formulas written out naively
+
+
+def _naive_poly(coeffs, z):
+    out = np.zeros_like(np.asarray(z, dtype=np.float64))
+    for c in reversed(coeffs):
+        out = out * z + c
+    return out
+
+
+def _naive_der(coeffs, order):
+    for _ in range(order):
+        coeffs = tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
+    return coeffs
+
+
+def _naive_partial(f, edge, t, x, l, dt=0, dx=0, dl=0):
+    """Sum over the terms of w * P(x) * Q(l) * tau(t), one full product per term."""
+    out = 0.0
+    for term in f.terms:
+        if term.time_poly is not None:
+            tau = _naive_poly(_naive_der(term.time_poly, dt), t)
+        else:
+            phase = term.sin_omega * np.asarray(t, dtype=np.float64) + term.sin_phase
+            tau = term.sin_omega * np.cos(phase) if dt else np.sin(phase)
+        w = np.asarray(term.edge_coeffs, dtype=np.float64)[np.asarray(edge) - 1]
+        out = out + (w * _naive_poly(_naive_der(term.x_poly, dx), x)
+                     * _naive_poly(_naive_der(term.l_poly, dl), l) * tau)
+    return out
+
+
+def _random_test_function(rng, I):
+    terms = []
+    for k in range(4):
+        x_poly = tuple(rng.normal(size=rng.integers(1, 5)))
+        if k % 2:  # edge-dependent weights need P(0) = 0
+            weights = tuple(rng.normal(size=I))
+            x_poly = (0.0,) + (x_poly[1:] or (1.0,))
+        else:
+            weights = (float(rng.normal()),) * I
+        l_poly = tuple(rng.normal(size=rng.integers(1, 5)))
+        if k % 3:
+            time = {"time_poly": tuple(rng.normal(size=rng.integers(1, 5)))}
+        else:
+            time = {"sin_omega": float(rng.normal()), "sin_phase": float(rng.normal())}
+        terms.append(TfTerm(edge_coeffs=weights, x_poly=x_poly, l_poly=l_poly, **time))
+    return TestFunction(I=I, terms=tuple(terms))
+
+
+def _l_dependent_coefficients(I):
+    base = constant_coefficients(I)
+
+    def alpha(t, l):
+        raw = 1.0 + np.outer(np.atleast_1d(l), np.arange(I, dtype=float))
+        w = raw / raw.sum(axis=1, keepdims=True)
+        return w[0] if np.ndim(t) == 0 else w
+
+    return CoefficientSet(I=I, b=base.b, sigma=base.sigma, alpha=alpha, bounds=base.bounds)
+
+
+@pytest.mark.parametrize("n", [49, 20_000])
+@pytest.mark.parametrize("I", [2, 3])
+def test_one_pass_operators_equal_the_naive_formulas_bit_for_bit(I, n):
+    rng = np.random.default_rng(100 * I + n)
+    c = _l_dependent_coefficients(I)
+    for _ in range(3):
+        f = _random_test_function(rng, I)
+        t, x, l = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n)
+        b, sigma = rng.normal(size=n), rng.uniform(0.5, 2.0, n)
+        for edge in (rng.integers(1, I + 1, n), I):
+            for tt in (t, 0.37):
+                partials = {name: _naive_partial(f, edge, tt, x, l, **orders) for name, orders in
+                            (("value", {}), ("dt", {"dt": 1}), ("dx", {"dx": 1}),
+                             ("dxx", {"dx": 2}), ("dl", {"dl": 1}))}
+                for name, want in partials.items():
+                    assert np.array_equal(getattr(f, name)(edge, tt, x, l), want), name
+                want = ((partials["dt"] + 0.5 * sigma**2 * partials["dxx"])
+                        + b * partials["dx"])
+                assert np.array_equal(generator(f, edge, tt, x, l, b, sigma), want)
+        for tt in (t, 0.37):
+            ttb = np.broadcast_to(tt, l.shape)
+            zeros = np.zeros(n)
+            want = _naive_partial(f, 1, ttb, zeros, l, dl=1).astype(float)
+            amat = c.alpha_matrix(ttb, l)
+            for e in range(1, I + 1):
+                want += amat[:, e - 1] * _naive_partial(f, e, ttb, zeros, l, dx=1)
+            assert np.array_equal(vertex_operator(c, f, tt, l), want)
+        scalar = vertex_operator(c, f, 0.37, 1.2)
+        assert isinstance(scalar, float)
+        assert scalar == vertex_operator(c, f, np.array([0.37]), np.array([1.2]))[0]
