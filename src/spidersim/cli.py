@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import localtime, verify
+from . import localtime, simulator, verify
 from .coeffexpr import (CoeffExprError, ConfigError, EvalError, _compile, build_coefficient_set,
                         choice, edge_exprs, expression, num, num_list, require_keys)
 from .feynman_kac import FKProblem, fk_estimate, fk_vs_pde
@@ -110,12 +110,19 @@ def _sources(block: dict, where: str, I: int):
             _edge_fns(block, "h", where, I, required=False), h0)
 
 
-def _steps(value: float, key: str, t0: float, h: float) -> int:
-    """The k with value = t0 + k h (verify.grid_step); off that grid, a config error on key."""
-    k = verify.grid_step(t0, h, value)
-    if k is None:
-        raise ConfigError(f"{key} must be {t0!r} plus a whole number of steps of sim.h = {h!r}")
+def _steps(value: float, key: str, t0: float, h: float, grid: str) -> int:
+    """The k >= 0 with value = t0 + k h (simulator.grid_step); off that grid,
+    a config error on key that spells the grid out in config keys."""
+    k = simulator.grid_step(t0, h, value)
+    if k is None or k < 0:
+        raise ConfigError(f"{key} = {value!r} is off the grid {grid} ({t0!r} + k*{h!r}, k >= 0)")
     return k
+
+
+def _start(t: float, key: str, sim: SimConfig) -> float:
+    """t, the start time key of a run to sim.T, with sim.T on its grid."""
+    _steps(sim.T, "sim.T", t, sim.h, f"{key} + k*sim.h")
+    return t
 
 
 def _grid(block: dict, where: str) -> PdeGrid:
@@ -124,12 +131,15 @@ def _grid(block: dict, where: str) -> PdeGrid:
     return PdeGrid(*(num(grid_cfg, k, where, lo=2, integer=True) for k in "MJP"))
 
 
-def _fk_problem(cfg: dict, I: int) -> tuple[FKProblem, list[tuple]]:
+def _fk_problem(cfg: dict, I: int, sim: SimConfig) -> tuple[FKProblem, list[tuple]]:
     block = require_keys(cfg.get("fk"), {"g", "h", "h0", "h_bound", "queries"}, "fk")
     g_edge, h_edge, h0 = _sources(block, "fk", I)
     prob = FKProblem(g_edge=g_edge, h_edge=h_edge, h0=h0,
                      h_bound=num(block, "h_bound", "fk", default=10.0, lo=0.0))
-    return prob, _queries(block, "fk", I)
+    queries = _queries(block, "fk", I)
+    for k, q in enumerate(queries):
+        _start(q[0], f"fk.queries[{k}][0]", sim)
+    return prob, queries
 
 
 def _queries(block: dict, where: str, I: int) -> list[tuple]:
@@ -185,6 +195,7 @@ def _run_validate(cfg, c, sim, workers):
 
 def _run_simulate(cfg, c, sim, workers):
     init = _init_state(cfg, c.I)
+    _start(init.t, "init.t", sim)
     res = simulate_batch(c, init, sim, workers=workers)
     rows = [[i, res.t[i], res.x[i], int(res.edge[i]), res.l[i]] for i in range(res.n)]
     summary = {
@@ -199,7 +210,7 @@ def _run_simulate(cfg, c, sim, workers):
 def _run_scatter(cfg, c, sim, workers):
     block = require_keys(cfg.get("scatter"), {"t", "ell", "delta", "n"}, "scatter")
     rep = verify.scattering_distribution(
-        c, num(block, "t", "scatter", default=0.0, lo=0.0),
+        c, _start(num(block, "t", "scatter", default=0.0, lo=0.0), "scatter.t", sim),
         num(block, "ell", "scatter", default=0.0, lo=0.0),
         num(block, "delta", "scatter", lo=verify.MIN_DELTA_SHELLS * sim.delta_shell),
         num(block, "n", "scatter", lo=verify.MIN_EXCURSIONS, integer=True),
@@ -215,10 +226,10 @@ def _run_scatter(cfg, c, sim, workers):
 def _run_exitstats(cfg, c, sim, workers):
     block = require_keys(cfg.get("exitstats"), {"t", "ell", "deltas", "n"}, "exitstats")
     rep = verify.mean_exit_stats(
-        c, num(block, "t", "exitstats", default=0.0, lo=0.0),
+        c, _start(num(block, "t", "exitstats", default=0.0, lo=0.0), "exitstats.t", sim),
         num(block, "ell", "exitstats", default=0.0, lo=0.0),
         num_list(block, "deltas", "exitstats", lo=sim.delta_shell),  # first_hit's floor
-        num(block, "n", "exitstats", lo=1, integer=True),
+        num(block, "n", "exitstats", lo=2, integer=True),
         sim, workers=workers)
     rows = [[r["delta"], r["l_ratio"], r["l_ratio_stderr"], r["theta_ratio"],
              r["theta_ratio_stderr"], r["censored"]] for r in rep.estimates["rows"]]
@@ -230,6 +241,9 @@ def _run_atom(cfg, c, sim, workers):
     block = require_keys(cfg.get("atom"), {"deltas", "oracle"}, "atom")
     deltas = num_list(block, "deltas", "atom", lo=1e-12)
     init = _init_state(cfg, c.I)
+    _start(init.t, "init.t", sim)
+    if sim.n_paths < 1:
+        raise ConfigError("atom needs sim.n_paths >= 1")
     res = simulate_batch(c, init, sim, workers=workers)
     oracle = None
     if choice(block, "oracle", "atom", (None, "half_normal"), None):
@@ -246,10 +260,12 @@ def _run_atom(cfg, c, sim, workers):
 def _run_martingale(cfg, c, sim, workers):
     block = require_keys(cfg.get("martingale"), {"s", "s_prime"}, "martingale")
     init = _init_state(cfg, c.I)
+    _start(init.t, "init.t", sim)
     s = num(block, "s", "martingale", default=init.t, lo=init.t, hi=sim.T)
     s_prime = num(block, "s_prime", "martingale", default=sim.T, lo=s, hi=sim.T)
-    if _steps(s, "martingale.s", init.t, sim.h) == _steps(s_prime, "martingale.s_prime",
-                                                            init.t, sim.h):
+    grid = "init.t + k*sim.h"
+    if _steps(s, "martingale.s", init.t, sim.h, grid) == _steps(
+            s_prime, "martingale.s_prime", init.t, sim.h, grid):
         raise ConfigError("martingale.s_prime must be at least one sim.h step after martingale.s")
     battery = verify.make_battery(c.I)
     rep = verify.martingale_residual(c, init, sim, battery, s, s_prime, workers=workers)
@@ -263,9 +279,11 @@ def _run_martingale(cfg, c, sim, workers):
 def _run_ito(cfg, c, sim, workers):
     block = require_keys(cfg.get("ito"), {"h_list", "n_paths"}, "ito")
     init = _init_state(cfg, c.I)
+    h_list = num_list(block, "h_list", "ito", lo=1e-12)
+    _steps(sim.T, "sim.T", 0.0, min(h_list), "k*min(ito.h_list)")
     f = verify.make_battery(c.I)[0]
     rep = verify.ito_convergence(
-        c, init, f, num_list(block, "h_list", "ito", lo=1e-12), sim.T,
+        c, init, f, h_list, sim.T,
         num(block, "n_paths", "ito", default=4, lo=1, integer=True), sim.seed)
     rows = [list(r) for r in zip(rep.estimates["h"], rep.estimates["mean_max_residual"])]
     return ["h", "mean_max_residual"], rows, dict(block), rep.to_json()
@@ -280,8 +298,9 @@ def _run_markov(cfg, c, sim, workers):
         key: num(spec_cfg, key, "markov.spec", lo=0.0)
         for key in ("level", "time") if key in spec_cfg or key == need})
     init = _init_state(cfg, c.I)
+    _start(init.t, "init.t", sim)
     lag = num(block, "lag", "markov", lo=1e-12)
-    if _steps(lag, "markov.lag", 0.0, sim.h) < 1:
+    if _steps(lag, "markov.lag", 0.0, sim.h, "k*sim.h") < 1:
         raise ConfigError("markov.lag must be at least one step of sim.h")
     rep = verify.strong_markov_test(
         c, spec, choice(block, "functional", "markov", ("x", "l"), "x"), lag,
@@ -296,6 +315,7 @@ def _run_localtime(cfg, c, sim, workers):
     block = require_keys(cfg.get("localtime"), {"eps_list", "n_paths"}, "localtime")
     eps_list = num_list(block, "eps_list", "localtime", lo=1e-12)
     n = num(block, "n_paths", "localtime", default=200, lo=1, integer=True)
+    _steps(sim.T, "sim.T", 0.0, sim.h, "k*sim.h")  # the oracle paths start at 0
     sums = {e: [0.0, 0.0] for e in eps_list}
     for pid in range(n):
         path, l_exact = localtime.oracle_path(sim.seed, pid, sim.h, sim.T)
@@ -324,7 +344,7 @@ def _run_pde(cfg, c, sim, workers):
 
 
 def _run_fk(cfg, c, sim, workers):
-    prob, queries = _fk_problem(cfg, c.I)
+    prob, queries = _fk_problem(cfg, c.I, sim)
     rows = []
     for q in queries:
         est = fk_estimate(prob, c, q, sim, workers=workers)
@@ -336,7 +356,7 @@ def _run_fk(cfg, c, sim, workers):
 
 
 def _run_fk_compare(cfg, c, sim, workers):
-    prob, queries = _fk_problem(cfg, c.I)
+    prob, queries = _fk_problem(cfg, c.I, sim)
     block = require_keys(cfg.get("fk_compare"), {"R", "K", "grid"}, "fk_compare")
     rows_out, _ = fk_vs_pde(
         prob, c, queries, sim, _grid(block, "fk_compare"),

@@ -531,10 +531,9 @@ class AlphaSpec:
 
 
 def _evaluator(node: Expr):
-    """A number literal (or its negation) as the number: a constant coefficient."""
-    if isinstance(node, Neg) and isinstance(node.operand, Num):
-        return -node.operand.value
-    return node.value if isinstance(node, Num) else _compile(node)
+    """An expression without variables, evaluated once, as the number: a
+    constant coefficient.  Any other expression compiled."""
+    return _compile(node) if variables(node) else evaluate(node)
 
 
 _BOUND_DEFAULTS = {"a_lower": 1e-3, "sigma_lower": 1e-3, "b_bound": 10.0,

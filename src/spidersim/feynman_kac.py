@@ -19,7 +19,7 @@ import numpy as np
 
 from .network import CoefficientSet, per_ray, ray_partition
 from .pde import PdeGrid, PdeProblem, PdeSolution, solve
-from .simulator import SimConfig, map_path_blocks, run_batch
+from .simulator import SimConfig, SpiderState, map_path_blocks, run_paths
 
 __all__ = ["FKProblem", "FKEstimate", "FKComparisonRow", "fk_estimate", "fk_vs_pde"]
 
@@ -95,12 +95,9 @@ class FKComparisonRow:
     passed: bool
 
 
-def _per_path_values(prob: FKProblem, c: CoefficientSet, query, cfg: SimConfig,
+def _per_path_values(prob: FKProblem, c: CoefficientSet, init: SpiderState, cfg: SimConfig,
                      lo: int, hi: int) -> np.ndarray:
-    t_q, x_q, e_q, l_q = query
-    K = cfg.n_steps(t_q)
-    n = hi - lo
-    acc = np.zeros(n)
+    acc = np.zeros(hi - lo)
 
     def on_step(k, t, x, edge, l, dl, contact, b, sigma, parts):
         acc_step = prob.running(parts, t, x, l) * cfg.h
@@ -110,30 +107,24 @@ def _per_path_values(prob: FKProblem, c: CoefficientSet, query, cfg: SimConfig,
                 acc_step = acc_step + np.where(hit, prob.vertex_cost(t, l) * dl, 0.0)
         np.add(acc, acc_step, out=acc)
 
-    res = run_batch(
-        c, cfg, K=K, t0=t_q, x0=x_q, edge0=e_q, l0=l_q,
-        path_ids=np.arange(lo, hi, dtype=np.uint64), on_step=on_step,
-    )
+    res = run_paths(c, init, cfg, lo, hi, on_step=on_step)
     return acc + prob.payoff(res.edge, res.x, res.l)
 
 
 def fk_estimate(prob: FKProblem, c: CoefficientSet, query, cfg: SimConfig,
                 workers: int = 1) -> FKEstimate:
     """Monte Carlo value of the representation at query = (t, x, edge, l)."""
-    t_q, x_q, e_q, l_q = query
-    if t_q >= cfg.T:
+    init = SpiderState(*query)
+    if init.t >= cfg.T:
         raise ValueError("query time must be before the horizon")
     prob.check(c.I)
     if cfg.n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
-    parts = map_path_blocks(
-        cfg.n_paths, workers,
-        lambda lo, hi: {"v": _per_path_values(prob, c, query, cfg, lo, hi)},
-    )
-    vals = parts["v"]
+    vals = map_path_blocks(cfg.n_paths, workers,
+                           lambda lo, hi: _per_path_values(prob, c, init, cfg, lo, hi))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    return FKEstimate(t=t_q, x=x_q, edge=e_q, l=l_q, mean=mean, stderr=stderr,
+    return FKEstimate(t=init.t, x=init.x, edge=init.i, l=init.l, mean=mean, stderr=stderr,
                       n_paths=vals.size, seed=cfg.seed)
 
 

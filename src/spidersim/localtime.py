@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .network import CoefficientSet, TestFunction, per_ray, ray_partition
-from .simulator import SpiderPath
+from .simulator import SpiderPath, grid_step, map_path_blocks, run_paths
 
 __all__ = [
     "ExcursionDecomposition",
@@ -40,9 +40,9 @@ class EstimationError(ValueError):
 
 
 def grid_index(p: SpiderPath, t: float) -> int:
-    """Grid index of query time t on the path (rounded to the nearest node)."""
-    idx = round((t - p.t0) / p.h)
-    if idx < 0 or idx > p.K or abs(p.t0 + idx * p.h - t) > 1e-9 * max(1.0, abs(t)):
+    """Grid index of query time t on the path (simulator.grid_step)."""
+    idx = grid_step(p.t0, p.h, t)
+    if idx is None or not 0 <= idx <= p.K:
         raise EstimationError(f"query time {t} is not on the path grid")
     return idx
 
@@ -208,10 +208,7 @@ def occupation_batch(c: CoefficientSet, init, cfg, eps: float,
     Equivalent to occupation_estimate at the horizon on stored paths, but
     accumulated on the fly so large ensembles never materialize.
     """
-    from .simulator import map_path_blocks, run_batch  # local import, cycle-free
-
     subset = _edge_subset(c, edges)
-    K = cfg.n_steps(init.t)
 
     def block(lo, hi):
         acc = np.zeros(hi - lo)
@@ -220,11 +217,10 @@ def occupation_batch(c: CoefficientSet, init, cfg, eps: float,
             rows, sig2 = _shell_integrand(c, subset, eps, t, x, edge, l)
             acc[rows] += sig2 * cfg.h
 
-        run_batch(c, cfg, K=K, t0=init.t, x0=init.x, edge0=init.i, l0=init.l,
-                  path_ids=np.arange(lo, hi, dtype=np.uint64), on_step=on_step)
-        return {"occ": acc / (2.0 * eps)}
+        run_paths(c, init, cfg, lo, hi, on_step=on_step)
+        return acc / (2.0 * eps)
 
-    return map_path_blocks(cfg.n_paths, workers, block)["occ"]
+    return map_path_blocks(cfg.n_paths, workers, block)
 
 
 def skorokhod_oracle(gaussians: np.ndarray, h: float, T: float,
@@ -237,8 +233,8 @@ def skorokhod_oracle(gaussians: np.ndarray, h: float, T: float,
     time array.
     """
     g = np.asarray(gaussians, dtype=np.float64)
-    K = round(T / h)
-    if abs(K * h - T) > 1e-9 * max(1.0, T):
+    K = grid_step(0.0, h, T)
+    if K is None:
         raise EstimationError("T must be a whole number of steps")
     if g.shape != (K,):
         raise EstimationError(f"need {K} increments, got {g.shape}")
@@ -260,7 +256,7 @@ def skorokhod_oracle(gaussians: np.ndarray, h: float, T: float,
 def oracle_path(seed: int, path_index: int, h: float, T: float,
                 x0: float = 0.0) -> tuple[SpiderPath, np.ndarray]:
     """Reflection-map oracle driven by the counter-based stream of one path."""
-    K = round(T / h)
+    K = grid_step(0.0, h, T) or 0  # off the grid, skorokhod_oracle raises
     g = _rng.gaussians(seed, np.full(K, path_index, dtype=np.uint64),
                        np.arange(K, dtype=np.uint64))
     path, l = skorokhod_oracle(g, h, T, x0=x0)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -41,10 +41,12 @@ __all__ = [
     "BatchResult",
     "FirstHitResult",
     "SimulationError",
+    "grid_step",
     "simulate_path",
     "simulate_batch",
     "first_hit",
     "run_batch",
+    "run_paths",
     "map_path_blocks",
 ]
 
@@ -53,10 +55,18 @@ _CONTACT_SLOT = 1
 _DEPART_SLOT = 2
 _SLOTS = 3
 SEED_LIMIT = 2**64  # seeds are 64-bit Philox keys: 0 <= seed < SEED_LIMIT
+GRID_TOL = 1e-9  # largest gap between a time and the grid time it stands for
 
 
 class SimulationError(RuntimeError):
     pass
+
+
+def grid_step(t0: float, h: float, t: float) -> int | None:
+    """The k with t0 + k h = t to within GRID_TOL, or None when t is off that
+    grid.  The one rule for whether a time lies on a step grid."""
+    k = round((t - t0) / h)
+    return k if abs(t0 + k * h - t) <= GRID_TOL else None
 
 
 @dataclass(frozen=True)
@@ -94,11 +104,10 @@ class SimConfig:
             raise SimulationError("seed must fit in 64 bits")
 
     def n_steps(self, t_start: float = 0.0) -> int:
-        span = self.T - t_start
-        k = round(span / self.h)
-        if k < 0 or abs(k * self.h - span) > 1e-9 * max(1.0, self.T):
+        k = grid_step(t_start, self.h, self.T)
+        if k is None or k < 0:
             raise SimulationError(
-                f"horizon {span} is not a whole number of steps of size {self.h}")
+                f"horizon {self.T} is not {t_start} plus a whole number of steps of size {self.h}")
         return k
 
     def check_against(self, c: CoefficientSet):
@@ -368,21 +377,40 @@ def run_batch(
 def simulate_path(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
                   path_index: int = 0) -> SpiderPath:
     """One full stored trajectory; a pure function of (seed, path_index)."""
-    K = cfg.n_steps(init.t)
-    res = run_batch(
-        c, cfg, K=K, t0=init.t, x0=init.x, edge0=init.i, l0=init.l,
-        path_ids=np.array([path_index], dtype=np.uint64), store=True,
-    )
-    return res.paths[0]
+    return run_paths(c, init, cfg, path_index, path_index + 1, store=True).paths[0]
 
 
-def map_path_blocks(n_paths: int, workers: int, fn: Callable[[int, int], dict]):
+def run_paths(c: CoefficientSet, init: SpiderState, cfg: SimConfig, lo: int, hi: int, **kw):
+    """run_batch for paths lo..hi-1 from init to cfg.T; kw (on_step, store,
+    stop_level) go to run_batch as given."""
+    return run_batch(c, cfg, K=cfg.n_steps(init.t), t0=init.t, x0=init.x, edge0=init.i,
+                     l0=init.l, path_ids=np.arange(lo, hi, dtype=np.uint64), **kw)
+
+
+def _join(parts):
+    """Blocks' results in block order: arrays concatenated, lists chained,
+    tuples and dataclasses joined entry by entry; any other value (None, the
+    hit level) is the same in every block and kept once."""
+    first = parts[0]
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    if isinstance(first, list):
+        return sum(parts, [])
+    if isinstance(first, tuple):
+        return tuple(map(_join, zip(*parts)))
+    if is_dataclass(first):
+        return replace(first, **{f.name: _join([getattr(p, f.name) for p in parts])
+                                 for f in fields(first)})
+    return first
+
+
+def map_path_blocks(n_paths: int, workers: int, fn: Callable[[int, int], object]):
     """Run fn(lo, hi) over path-index blocks, possibly on worker threads,
-    and stitch per-path arrays back together in index order.
+    and join the per-path results in index order (see _join).
 
     Results are identical for any worker count because every path owns its
-    random stream and blocks are merged positionally.  Zero paths make the
-    single call fn(0, 0).
+    random stream and blocks are joined positionally.  Zero paths make the
+    single call fn(0, 0), and one block's result is returned as it is.
     """
     workers = max(1, min(int(workers), n_paths))
     if workers == 1:
@@ -390,35 +418,14 @@ def map_path_blocks(n_paths: int, workers: int, fn: Callable[[int, int], dict]):
     bounds = np.linspace(0, n_paths, workers + 1).astype(int)
     blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda b: fn(b[0], b[1]), blocks))
-    out = {}
-    for key in parts[0]:
-        vals = [p[key] for p in parts]
-        if isinstance(vals[0], list):
-            out[key] = [item for v in vals for item in v]
-        else:
-            out[key] = np.concatenate(vals)
-    return out
+        return _join(list(pool.map(lambda b: fn(*b), blocks)))
 
 
 def simulate_batch(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
                    workers: int = 1) -> BatchResult:
     """cfg.n_paths independent paths from a common initial state."""
-    K = cfg.n_steps(init.t)
-
-    def block(lo, hi):
-        res = run_batch(
-            c, cfg, K=K, t0=init.t, x0=init.x, edge0=init.i, l0=init.l,
-            path_ids=np.arange(lo, hi, dtype=np.uint64), store=cfg.store_paths,
-        )
-        out = {"t": res.t, "x": res.x, "edge": res.edge, "l": res.l}
-        if cfg.store_paths:
-            out["paths"] = res.paths
-        return out
-
-    parts = map_path_blocks(cfg.n_paths, workers, block)
-    return BatchResult(t=parts["t"], x=parts["x"], edge=parts["edge"], l=parts["l"],
-                       paths=parts.get("paths"))
+    return map_path_blocks(cfg.n_paths, workers, lambda lo, hi: run_paths(
+        c, init, cfg, lo, hi, store=cfg.store_paths))
 
 
 def first_hit(c: CoefficientSet, init: SpiderState, cfg: SimConfig, level: float,
@@ -426,16 +433,5 @@ def first_hit(c: CoefficientSet, init: SpiderState, cfg: SimConfig, level: float
     """First grid time with x >= level for each path, censored at T."""
     if level < cfg.delta_shell:
         raise SimulationError("hitting level must be >= delta_shell")
-    K = cfg.n_steps(init.t)
-
-    def block(lo, hi):
-        res = run_batch(
-            c, cfg, K=K, t0=init.t, x0=init.x, edge0=init.i, l0=init.l,
-            path_ids=np.arange(lo, hi, dtype=np.uint64), stop_level=level,
-        )
-        return {"theta": res.theta, "edge": res.edge, "l": res.l,
-                "censored": res.censored}
-
-    parts = map_path_blocks(cfg.n_paths, workers, block)
-    return FirstHitResult(theta=parts["theta"], edge=parts["edge"], l=parts["l"],
-                          censored=parts["censored"], level=level)
+    return map_path_blocks(cfg.n_paths, workers, lambda lo, hi: run_paths(
+        c, init, cfg, lo, hi, stop_level=level))

@@ -26,8 +26,10 @@ from .simulator import (
     SpiderPath,
     SpiderState,
     first_hit,
+    grid_step,
     map_path_blocks,
     run_batch,
+    run_paths,
 )
 
 __all__ = [
@@ -55,7 +57,6 @@ __all__ = [
 DEFAULT_BIAS_CONSTANT = 2.5
 MIN_EXCURSIONS = 10**4  # fewest first passages scattering_distribution accepts
 MIN_DELTA_SHELLS = 2.0  # scattering_distribution's level delta is at least this many delta_shell
-GRID_TOL = 1e-9  # largest gap between a window endpoint or a lag and its grid time
 
 
 @dataclass
@@ -203,12 +204,6 @@ def _vertex_scale(f: TestFunction, c: CoefficientSet, T: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def grid_step(t0: float, h: float, t: float) -> int | None:
-    """The k with t0 + k h = t to within GRID_TOL, or None when t is off that grid."""
-    k = round((t - t0) / h)
-    return k if abs(t0 + k * h - t) <= GRID_TOL else None
-
-
 def _window_steps(t0: float, h: float, K: int, s: float, s_prime: float) -> tuple[int, int]:
     """Step indices of the window [s, s'] on the grid t0 + k h, 0 <= k <= K."""
     ks, ke = grid_step(t0, h, s), grid_step(t0, h, s_prime)
@@ -259,15 +254,13 @@ def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
                 for q, f in enumerate(f_list):
                     resid[q] += f.value(edge, t, x, l)
 
-        res = run_batch(c, cfg, K=K, t0=init.t, x0=init.x, edge0=init.i, l0=init.l,
-                        path_ids=np.arange(lo, hi, dtype=np.uint64), on_step=on_step)
+        res = run_paths(c, init, cfg, lo, hi, on_step=on_step)
         if ke == K:
             for q, f in enumerate(f_list):
                 resid[q] += f.value(res.edge, res.t, res.x, res.l)
-        return {"resid": resid.T}
+        return tuple(resid)
 
-    parts = map_path_blocks(cfg.n_paths, workers, block)
-    resid = parts["resid"].T  # (nf, n)
+    resid = np.array(map_path_blocks(cfg.n_paths, workers, block))  # (nf, n)
     means = resid.mean(axis=1)
     errs = resid.std(axis=1, ddof=1) / math.sqrt(resid.shape[1])
     budgets = np.array([bias_c * math.sqrt(cfg.h) * _vertex_scale(f, c, cfg.T)
@@ -342,8 +335,8 @@ def ito_convergence(c: CoefficientSet, init: SpiderState, f: TestFunction,
     Brownian skeletons (coarse increments aggregate the finest ones)."""
     hs = sorted(h_list, reverse=True)
     h_fine = hs[-1]
-    k_fine = round(T / h_fine)
-    if abs(k_fine * h_fine - T) > 1e-9:
+    k_fine = grid_step(0.0, h_fine, T)
+    if k_fine is None:
         raise ValueError("T must be a whole number of finest steps")
     ids = np.arange(n_paths, dtype=np.uint64)
     seed_g = _rng.derive_seed(seed, "matched-skeleton")
@@ -415,14 +408,19 @@ def mean_exit_stats(c: CoefficientSet, t: float, ell: float, deltas: Sequence[fl
 
     Passes when the local-time ratio at the smallest delta lies in
     ratio_band and successive ratios of the scaled exit times stay inside
-    bound_band.
+    bound_band.  Every level needs at least two first passages by cfg.T.
     """
+    if n < 2:
+        raise ValueError("need at least two paths for a standard error")
     rows = []
     for delta in deltas:
         cfg_n = replace(cfg, n_paths=n)
         fh = first_hit(c, SpiderState(t, 0.0, 1, ell), cfg_n, delta, workers=workers)
         ok = ~fh.censored
         n_ok = int(ok.sum())
+        if n_ok < 2:
+            raise ValueError(f"{n_ok} of {n} paths reach level delta = {delta!r} by "
+                             f"T = {cfg.T!r}; need at least two for a standard error")
         dl = fh.l[ok] - ell
         dth = fh.theta[ok] - t
         rows.append({
@@ -471,6 +469,8 @@ def atom_test(x_samples: np.ndarray, deltas: Sequence[float],
     """
     x = np.asarray(x_samples, dtype=float)
     n = x.size
+    if n == 0:
+        raise ValueError("empty sample")
     ds = sorted((float(d) for d in deltas), reverse=True)
     phat = np.array([np.mean(x <= d) for d in ds])
     stderr = np.sqrt(np.maximum(phat * (1 - phat), 1e-12) / n)
@@ -587,8 +587,7 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
                 fval[want] = fn(x, edge, l)[want]
             carry_visit = contact.copy()
 
-        res = run_batch(c, cfg, K=K, t0=init.t, x0=init.x, edge0=init.i, l0=init.l,
-                        path_ids=np.arange(lo, hi, dtype=np.uint64), on_step=on_step)
+        res = run_paths(c, init, cfg, lo, hi, on_step=on_step)
         want = (tau_idx >= 0) & (tau_idx + U == K)
         if want.any():
             fval[want] = fn(res.x, res.edge, res.l)[want]
@@ -600,17 +599,15 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
             t_tau = init.t + tau_idx[idx] * cfg.h
             res2 = run_batch(
                 c, cfg, K=U, t0=t_tau, x0=sx[idx], edge0=se[idx], l0=sl[idx],
-                path_ids=(np.arange(lo, hi, dtype=np.uint64))[idx],
+                path_ids=(lo + idx).astype(np.uint64),
                 seed=_rng.derive_seed(cfg.seed, "markov-restart"),
             )
             fresh[idx] = fn(res2.x, res2.edge, res2.l)
-        return {"fval": fval, "fresh": fresh, "ok": ok}
+        return fval, fresh, ok
 
-    parts = map_path_blocks(n, workers, block)
-    ok = parts["ok"]
+    fval, fresh, ok = map_path_blocks(n, workers, block)
     censored_frac = 1.0 - ok.mean()
-    a = parts["fval"][ok]
-    b = parts["fresh"][ok]
+    a, b = fval[ok], fresh[ok]
     if a.size >= 2:
         d, p = ks_2samp(a, b)
     else:

@@ -260,6 +260,10 @@ def test_shipped_configs_validate(tmp_path, path):
     assert main(["validate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+_OFF_GRID_T = {"h": 1e-3, "T": 0.0105, "n_paths": 20, "seed": 7}  # 10.5 steps
+_FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
+
+
 @pytest.mark.parametrize("sub, blocks, flags, key", [
     ("markov", {"markov": {"spec": {"kind": "hitting"}, "lag": 0.02, "n": 100}}, [],
      "markov.spec.level"),
@@ -274,9 +278,32 @@ def test_shipped_configs_validate(tmp_path, path):
     ("martingale", {"martingale": {"s": 0.1, "s_prime": 0.2005}}, [], "martingale.s_prime"),
     ("markov", {"markov": {"spec": {"kind": "fixed_time", "time": 0.01}, "lag": 0.0205,
                            "n": 100}}, [], "markov.lag"),
+    ("simulate", {"sim": _OFF_GRID_T}, [], "sim.T"),
+    ("atom", {"sim": _OFF_GRID_T}, [], "sim.T"),
+    ("exitstats", {"sim": _OFF_GRID_T}, [], "sim.T"),
+    ("localtime", {"sim": _OFF_GRID_T}, [], "sim.T"),
+    ("simulate", {"init": {"t": 0.0005}}, [], "init.t"),
+    ("simulate", {"init": {"t": 0.3}}, [], "init.t"),
+    ("martingale", {"init": {"t": 0.0005}}, [], "init.t"),
+    ("markov", {"init": {"t": 0.0005}}, [], "init.t"),
+    ("fk", {"fk": {"g": ["0", "0"], "queries": [[0.0, 0.4, 1, 0.1], [0.0005, 0.4, 1, 0.1]]}},
+     [], "fk.queries[1]"),
+    ("scatter", {"sim": _FINE_SIM, "scatter": {"t": 5e-6, "delta": 0.05, "n": 10**4}}, [],
+     "scatter.t"),
+    ("exitstats", {"sim": _FINE_SIM, "exitstats": {"t": 5e-6, "deltas": [0.04], "n": 100}},
+     [], "exitstats.t"),
+    ("ito", {"sim": {"h": 1e-3, "T": 1e-3}, "ito": {"h_list": [1e-4, 3e-5]}}, [],
+     "ito.h_list"),
+    ("exitstats", {"exitstats": {"deltas": [0.04], "n": 1}}, [], "exitstats.n"),
+    ("atom", {"sim": {"h": 1e-3, "T": 0.25, "n_paths": 0}}, [], "sim.n_paths"),
 ], ids=["hitting-without-level", "scatter-below-min-excursions", "s-past-horizon",
         "negative-seed-flag", "scatter-delta-below-two-shells", "exit-delta-below-shell",
-        "empty-window", "s-off-grid", "s_prime-off-grid", "lag-off-grid"])
+        "empty-window", "s-off-grid", "s_prime-off-grid", "lag-off-grid",
+        "simulate-T-off-grid", "atom-T-off-grid", "exitstats-T-off-grid",
+        "localtime-T-off-grid", "simulate-init-t-off-grid", "simulate-init-t-past-T",
+        "martingale-init-t-off-grid", "markov-init-t-off-grid", "fk-query-t-off-grid",
+        "scatter-t-off-grid", "exitstats-t-off-grid", "ito-T-off-finest-grid",
+        "exitstats-one-path", "atom-no-paths"])
 def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks, flags, key):
     """Values of the right type that break a precondition of the library
     call are configuration errors (exit 2), not runtime errors (exit 3)."""
@@ -286,3 +313,15 @@ def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks
     err = capsys.readouterr().err
     assert code == 2, err
     assert key in err
+
+
+@pytest.mark.filterwarnings("error")  # numpy's empty-mean RuntimeWarnings fail the test
+def test_level_that_no_path_reaches_exits_3_and_writes_no_nan(tmp_path, capsys):
+    cfg = _all_blocks_config()
+    cfg["exitstats"] = {"deltas": [5.0], "n": 20}
+    out = tmp_path / "out"
+    code = main(["exitstats", "--config", _write(tmp_path, cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "0 of 20 paths reach level delta = 5.0" in err
+    assert not (out / "exitstats.csv").exists()

@@ -8,6 +8,7 @@ from spidersim.rng import gaussians
 from spidersim.simulator import (
     SimConfig,
     SimulationError,
+    SpiderPath,
     SpiderState,
     first_hit,
     run_batch,
@@ -276,23 +277,29 @@ _BOUNDS = {"a_lower": 0.1, "sigma_lower": 0.5, "b_bound": 0.5, "sigma_bound": 1.
            "alpha_lip": 1.0}
 
 
+# the same numbers spelled as expressions without variables
+_B_SPELLED, _SIGMA_SPELLED = ("2*0.05", "-(0.2)", "0*7"), ("sqrt(4)/2", "-(-0.8)", "1.2*1")
+
+
 def _constant_families():
-    """The same constant family three ways: constant_coefficients, config
-    expressions that are numbers, and config expressions in x that evaluate
-    to the same numbers (0*x is 0 for every x >= 0)."""
-    def config(fmt):
-        return build_coefficient_set({
-            "I": 3, "b": [fmt.format(v) for v in _B], "sigma": [fmt.format(v) for v in _SIGMA],
-            "alpha": [str(a) for a in _ALPHA], "bounds": _BOUNDS})
+    """The same constant family four ways: constant_coefficients, config
+    expressions that are numbers, config expressions without variables that
+    evaluate to those numbers, and config expressions in x that do (0*x is 0
+    for every x >= 0)."""
+    def config(b, sigma):
+        return build_coefficient_set({"I": 3, "b": list(b), "sigma": list(sigma),
+                                      "alpha": [str(a) for a in _ALPHA], "bounds": _BOUNDS})
     return {"constant": constant_coefficients(3, sigma=_SIGMA, b=_B, alpha=_ALPHA,
                                               bounds=CoefficientBounds(**_BOUNDS)),
-            "numbers": config("{}"), "expressions": config("{} + 0*x")}
+            "numbers": config(map(str, _B), map(str, _SIGMA)),
+            "spelled": config(_B_SPELLED, _SIGMA_SPELLED),
+            "expressions": config((f"{v} + 0*x" for v in _B), (f"{v} + 0*x" for v in _SIGMA))}
 
 
 def test_constant_tables_equal_their_evaluators():
     sets = _constant_families()
     t, x, l = np.linspace(0, 1, 7), np.linspace(0, 3, 7), np.linspace(0, 2, 7)
-    for name in ("constant", "numbers"):
+    for name in ("constant", "numbers", "spelled"):
         c = sets[name]
         assert c.b_table.tolist() == list(_B) and c.sigma_table.tolist() == list(_SIGMA)
         for e in (1, 2, 3):
@@ -353,3 +360,41 @@ def test_on_step_gets_the_steps_ray_partition(family):
     sizes = np.array(seen)
     assert sizes.shape == (50, 3) and (sizes.sum(axis=1) == 50).all()
     assert (sizes[1:, 1] > 0).any() and (sizes[:, 2] == 0).all()
+
+
+@pytest.mark.parametrize("t0, h, t, k", [
+    (0.0, 0.1, 300.0, 3000), (0.0, 0.1, 300 + 5e-10, 3000), (0.0, 0.1, 300 + 5e-8, None),
+    (0.25, 1e-3, 0.75, 500), (0.25, 1e-3, 0.7505, None), (0.0005, 1e-3, 0.0105, 10),
+    (0.0, 1e-3, 0.0105, None), (0.0, 1e-5, 1e-3, 100), (5e-6, 1e-5, 1e-3, None),
+])
+def test_grid_rule_is_decided_once(t0, h, t, k):
+    """SimConfig.n_steps, the local-time grid index and oracle, the martingale
+    window and the CLI reader all accept t on the grid t0 + k h, or all reject it."""
+    from spidersim.cli import _steps
+    from spidersim.coeffexpr import ConfigError
+    from spidersim.localtime import EstimationError, grid_index, skorokhod_oracle
+    from spidersim.simulator import grid_step
+    from spidersim.verify import _window_steps
+
+    n = round((t - t0) / h)  # the path is long enough to hold t either way
+    zeros = np.zeros(n + 2)
+    path = SpiderPath(t0=t0, h=h, x=zeros, edge=np.ones(n + 2, dtype=np.int64), l=zeros,
+                      contact=zeros > 0, gauss=zeros[1:])
+    readers = {  # name: (read, the error it raises off the grid)
+        "grid_step": (lambda: grid_step(t0, h, t), None),
+        "n_steps": (lambda: SimConfig(h=h, T=t).n_steps(t0), SimulationError),
+        "grid_index": (lambda: grid_index(path, t), EstimationError),
+        "window": (lambda: _window_steps(t0, h, n + 1, t0, t)[1], ValueError),
+        "cli": (lambda: _steps(t, "sim.T", t0, h, "init.t + k*sim.h"), ConfigError),
+    }
+    if t0 == 0.0:
+        readers["skorokhod_oracle"] = (lambda: skorokhod_oracle(np.zeros(n), h, t)[0].K,
+                                       EstimationError)
+    for name, (read, error) in readers.items():
+        if k is not None:
+            assert read() == k, name
+        elif error is None:
+            assert read() is None
+        else:
+            with pytest.raises(error):
+                read()

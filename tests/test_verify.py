@@ -180,6 +180,22 @@ def test_mean_exit_stats_drift_lowers_local_time():
             < rep0.estimates["rows"][0]["l_ratio"])
 
 
+@pytest.mark.filterwarnings("error")  # no empty-mean RuntimeWarning on the way
+def test_mean_exit_stats_rejects_levels_without_two_passages():
+    cfg = SimConfig(h=1e-4, T=0.01, seed=42)
+    with pytest.raises(ValueError, match="at least two paths"):
+        mean_exit_stats(_c(), 0.0, 0.0, [0.02], 1, cfg)
+    # the horizon is 1/25 of delta^2: no path gets there
+    with pytest.raises(ValueError, match=r"0 of 20 paths reach level delta = 0\.5 by T = 0\.01"):
+        mean_exit_stats(_c(), 0.0, 0.0, [0.02, 0.5], 20, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_atom_test_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="empty sample"):
+        atom_test(np.empty(0), [0.1, 0.05])
+
+
 def test_atom_test_monotone_and_oracle():
     c = _c()
     cfg = SimConfig(h=5e-4, T=1.0, n_paths=8000, seed=50)
