@@ -138,7 +138,9 @@ def _fk_problem(cfg: dict, I: int, sim: SimConfig) -> tuple[FKProblem, list[tupl
                      h_bound=num(block, "h_bound", "fk", default=10.0, lo=0.0))
     queries = _queries(block, "fk", I)
     for k, q in enumerate(queries):
-        _start(q[0], f"fk.queries[{k}][0]", sim)
+        key = f"fk.queries[{k}][0]"
+        if _steps(sim.T, "sim.T", q[0], sim.h, f"{key} + k*sim.h") == 0:
+            raise ConfigError(f"{key} = {q[0]!r} must be before sim.T = {sim.T!r}")
     return prob, queries
 
 
@@ -280,7 +282,11 @@ def _run_ito(cfg, c, sim, workers):
     block = require_keys(cfg.get("ito"), {"h_list", "n_paths"}, "ito")
     init = _init_state(cfg, c.I)
     h_list = num_list(block, "h_list", "ito", lo=1e-12)
-    _steps(sim.T, "sim.T", 0.0, min(h_list), "k*min(ito.h_list)")
+    for j, h in enumerate(h_list):
+        key = f"ito.h_list[{j}]"
+        if verify.multiple_of(h, min(h_list)) is None:
+            raise ConfigError(f"{key} = {h!r} is not a whole multiple of min(ito.h_list) to 1e-12")
+        _steps(sim.T, "sim.T", init.t, h, f"init.t + k*{key}")
     f = verify.make_battery(c.I)[0]
     rep = verify.ito_convergence(
         c, init, f, h_list, sim.T,

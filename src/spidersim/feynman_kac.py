@@ -128,15 +128,6 @@ def fk_estimate(prob: FKProblem, c: CoefficientSet, query, cfg: SimConfig,
                       n_paths=vals.size, seed=cfg.seed)
 
 
-def to_pde_problem(prob: FKProblem, c: CoefficientSet, T: float, R: float, K: float,
-                   psi_edge: tuple[Callable, ...] | None = None) -> PdeProblem:
-    return PdeProblem(
-        coefficients=c, T=T, R=R, K=K,
-        g_edge=prob.g_edge, h_edge=prob.h_edge, h0=prob.h0,
-        psi_edge=psi_edge, direction="backward",
-    )
-
-
 def fk_vs_pde(prob: FKProblem, c: CoefficientSet, queries: Sequence[tuple],
               cfg: SimConfig, grid: PdeGrid, R: float, K: float,
               psi_edge: tuple[Callable, ...] | None = None,
@@ -153,7 +144,9 @@ def fk_vs_pde(prob: FKProblem, c: CoefficientSet, queries: Sequence[tuple],
             raise ValueError(f"query {q} needs t < T = {cfg.T} and a ray in 1..{c.I}")
         if q[1] > 0.9 * R or q[3] > 0.9 * K:
             raise ValueError(f"query {q} too close to the truncation boundary")
-    pde_prob = to_pde_problem(prob, c, cfg.T, R, K, psi_edge=psi_edge)
+    pde_prob = PdeProblem(coefficients=c, T=cfg.T, R=R, K=K, g_edge=prob.g_edge,
+                          h_edge=prob.h_edge, h0=prob.h0, psi_edge=psi_edge,
+                          direction="backward")
     fine = solve(pde_prob, grid)
     coarse = solve(pde_prob, grid.coarsened())
     rows = []

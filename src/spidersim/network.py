@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "NetworkPoint",
     "CoefficientBounds",
     "CoefficientSet",
     "SamplingPlan",
@@ -23,7 +22,6 @@ __all__ = [
     "ValidationReport",
     "TestFunction",
     "TfTerm",
-    "distance",
     "ray_partition",
     "per_ray",
     "generator",
@@ -37,41 +35,6 @@ CONTINUITY_TOL = 1e-12  # largest jump across the rays at the vertex a test func
 
 class NetworkError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class NetworkPoint:
-    """Point (x, i) on the star; all (0, i) compare equal (the junction)."""
-
-    x: float
-    i: int
-
-    def __post_init__(self):
-        if self.x < 0:
-            raise NetworkError(f"position must be nonnegative, got {self.x}")
-        if self.i < 1:
-            raise NetworkError(f"edge index must be >= 1, got {self.i}")
-
-    def __eq__(self, other):
-        if not isinstance(other, NetworkPoint):
-            return NotImplemented
-        if self.x == 0.0 and other.x == 0.0:
-            return True
-        return self.x == other.x and self.i == other.i
-
-    def __hash__(self):
-        return hash((self.x, 0 if self.x == 0.0 else self.i))
-
-    @property
-    def at_vertex(self) -> bool:
-        return self.x == 0.0
-
-
-def distance(p: NetworkPoint, q: NetworkPoint) -> float:
-    """Tree metric: |x - y| on a common ray, x + y across rays."""
-    if p.i == q.i or p.x == 0.0 or q.x == 0.0:
-        return abs(p.x - q.x)
-    return p.x + q.x
 
 
 def ray_partition(n_rays: int, edge) -> list[np.ndarray]:

@@ -27,7 +27,6 @@ only with negligible probability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,7 +41,6 @@ __all__ = [
     "PdeError",
     "solve",
     "residual",
-    "default_truncation",
     "manufactured_backward",
     "flat_profile_poly",
 ]
@@ -154,9 +152,6 @@ class PdeGrid:
             np.linspace(0.0, problem.K, self.P + 1),
         )
 
-    def refined(self) -> "PdeGrid":
-        return PdeGrid(self.M * 2, self.J * 2, self.P * 2)
-
     def coarsened(self) -> "PdeGrid":
         if self.M % 2 or self.J % 2 or self.P % 2:
             raise PdeError("grid not coarsenable")
@@ -196,12 +191,6 @@ class PdeSolution:
                 for dp, wp in ((0, 1 - wl), (1, wl)):
                     out += wm * wj * wp * u[mi + dm, ji + dj, pi + dp]
         return float(out)
-
-
-def default_truncation(c: CoefficientSet, T: float, x_query: float = 0.0) -> tuple[float, float]:
-    """Domain ceilings: reach of the dominant diffusion in x, and in l."""
-    return (x_query + 4.0 * c.bounds.sigma_bound * math.sqrt(T),
-            4.0 * math.sqrt(T))
 
 
 def _sweep(lower, diag, upper, rhs):
@@ -305,16 +294,14 @@ def solve(problem: PdeProblem, grid: PdeGrid) -> PdeSolution:
     return PdeSolution(values=U, grid=grid, problem=problem, warnings=warnings)
 
 
-def residual(solution: PdeSolution, problem: PdeProblem | None = None,
-             grid: PdeGrid | None = None) -> dict:
-    """Discrete stencil residuals of a grid function for this problem.
+def residual(solution: PdeSolution) -> dict:
+    """Discrete stencil residuals of solution.values on its own problem and grid.
 
     Evaluates the same interior, far-boundary and vertex relations the
     solver enforces; on a solved field they vanish to rounding, on an
     exact-solution sample they expose the truncation order.
     """
-    problem = problem or solution.problem
-    grid = grid or solution.grid
+    problem, grid = solution.problem, solution.grid
     c = problem.coefficients
     I = c.I
     M, J, P = grid.M, grid.J, grid.P

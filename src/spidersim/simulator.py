@@ -91,7 +91,6 @@ class SimConfig:
     policy: str = "reflection"
     n_paths: int = 1
     seed: int = 0
-    store_paths: bool = False
 
     def __post_init__(self):
         if self.h <= 0 or self.T <= 0 or self.delta_shell <= 0:
@@ -218,7 +217,6 @@ def run_batch(
     edge0,
     l0,
     path_ids: np.ndarray | None = None,
-    seed: int | None = None,
     on_step: Callable | None = None,
     store: bool = False,
     gaussians: np.ndarray | None = None,
@@ -244,7 +242,7 @@ def run_batch(
     supported there.
     """
     cfg.check_against(c)
-    seed = cfg.seed if seed is None else seed
+    seed = cfg.seed
     shape = np.broadcast_shapes(np.shape(t0), np.shape(x0), np.shape(edge0), np.shape(l0))
     n = shape[0] if shape else 1
     if path_ids is not None:
@@ -423,9 +421,8 @@ def map_path_blocks(n_paths: int, workers: int, fn: Callable[[int, int], object]
 
 def simulate_batch(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
                    workers: int = 1) -> BatchResult:
-    """cfg.n_paths independent paths from a common initial state."""
-    return map_path_blocks(cfg.n_paths, workers, lambda lo, hi: run_paths(
-        c, init, cfg, lo, hi, store=cfg.store_paths))
+    """Terminal states of cfg.n_paths paths from init (run_paths(store=True) keeps paths)."""
+    return map_path_blocks(cfg.n_paths, workers, lambda lo, hi: run_paths(c, init, cfg, lo, hi))
 
 
 def first_hit(c: CoefficientSet, init: SpiderState, cfg: SimConfig, level: float,

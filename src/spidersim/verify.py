@@ -42,6 +42,7 @@ __all__ = [
     "martingale_residual",
     "martingale_residual_paths",
     "ito_residual",
+    "multiple_of",
     "ito_convergence",
     "scattering_distribution",
     "mean_exit_stats",
@@ -57,6 +58,8 @@ __all__ = [
 DEFAULT_BIAS_CONSTANT = 2.5
 MIN_EXCURSIONS = 10**4  # fewest first passages scattering_distribution accepts
 MIN_DELTA_SHELLS = 2.0  # scattering_distribution's level delta is at least this many delta_shell
+EXIT_L_RATIO_BAND = (0.9, 1.1)  # mean_exit_stats: E[l at exit]/delta at the smallest delta
+EXIT_THETA_BAND = (0.5, 2.0)    # mean_exit_stats: successive ratios of E[exit time]/delta^2
 
 
 @dataclass
@@ -328,16 +331,21 @@ def ito_residual(p: SpiderPath, c: CoefficientSet, f: TestFunction) -> float:
     return float(np.max(np.abs(resid)))
 
 
+def multiple_of(h: float, h_fine: float) -> int | None:
+    """The whole m with h = m h_fine to within 1e-12 (ito_convergence's rule), or None."""
+    m = round(h / h_fine)
+    return m if abs(m * h_fine - h) <= 1e-12 else None
+
+
 def ito_convergence(c: CoefficientSet, init: SpiderState, f: TestFunction,
                     h_list: Sequence[float], T: float, n_paths: int,
                     seed: int) -> EstimatorReport:
     """Mean pathwise chain-rule residual across step sizes on matched
-    Brownian skeletons (coarse increments aggregate the finest ones)."""
+    Brownian skeletons (coarse increments aggregate the finest ones).  Every
+    step size runs from init.t to T, so T must lie on each grid init.t + k h."""
     hs = sorted(h_list, reverse=True)
     h_fine = hs[-1]
-    k_fine = grid_step(0.0, h_fine, T)
-    if k_fine is None:
-        raise ValueError("T must be a whole number of finest steps")
+    k_fine = SimConfig(h=h_fine, T=T).n_steps(init.t)
     ids = np.arange(n_paths, dtype=np.uint64)
     seed_g = _rng.derive_seed(seed, "matched-skeleton")
     g_fine = np.empty((n_paths, k_fine))
@@ -345,14 +353,12 @@ def ito_convergence(c: CoefficientSet, init: SpiderState, f: TestFunction,
         g_fine[:, j] = _rng.gaussians(seed_g, ids, np.uint64(j))
     means = []
     for h in hs:
-        m = round(h / h_fine)
-        if abs(m * h_fine - h) > 1e-12:
+        m = multiple_of(h, h_fine)
+        if m is None:
             raise ValueError("every h must be a multiple of the finest h")
-        k_h = k_fine // m
-        g_h = g_fine[:, :k_h * m].reshape(n_paths, k_h, m).sum(axis=2) / math.sqrt(m)
         cfg = SimConfig(h=h, T=T, n_paths=n_paths, seed=seed)
-        res = run_batch(c, cfg, K=k_h, t0=init.t, x0=init.x, edge0=init.i,
-                        l0=init.l, path_ids=ids, store=True, gaussians=g_h)
+        g_h = g_fine.reshape(n_paths, cfg.n_steps(init.t), m).sum(axis=2) / math.sqrt(m)
+        res = run_paths(c, init, cfg, 0, n_paths, store=True, gaussians=g_h)
         means.append(float(np.mean([ito_residual(p, c, f) for p in res.paths])))
     decreasing = all(means[i] > means[i + 1] for i in range(len(means) - 1))
     return EstimatorReport(
@@ -401,14 +407,12 @@ def scattering_distribution(c: CoefficientSet, t: float, ell: float, delta: floa
 
 
 def mean_exit_stats(c: CoefficientSet, t: float, ell: float, deltas: Sequence[float],
-                    n: int, cfg: SimConfig, workers: int = 1,
-                    ratio_band: tuple[float, float] = (0.9, 1.1),
-                    bound_band: tuple[float, float] = (0.5, 2.0)) -> EstimatorReport:
+                    n: int, cfg: SimConfig, workers: int = 1) -> EstimatorReport:
     """Per-delta table of E[l at exit - ell]/delta and E[exit time - t]/delta^2.
 
     Passes when the local-time ratio at the smallest delta lies in
-    ratio_band and successive ratios of the scaled exit times stay inside
-    bound_band.  Every level needs at least two first passages by cfg.T.
+    EXIT_L_RATIO_BAND and successive ratios of the scaled exit times stay
+    inside EXIT_THETA_BAND.  Every level needs at least two first passages by cfg.T.
     """
     if n < 2:
         raise ValueError("need at least two paths for a standard error")
@@ -432,10 +436,10 @@ def mean_exit_stats(c: CoefficientSet, t: float, ell: float, deltas: Sequence[fl
             "censored": int(n - n_ok),
         })
     smallest = min(rows, key=lambda r: r["delta"])
-    l_ok = ratio_band[0] <= smallest["l_ratio"] <= ratio_band[1]
+    l_ok = EXIT_L_RATIO_BAND[0] <= smallest["l_ratio"] <= EXIT_L_RATIO_BAND[1]
     t_ratios = [r["theta_ratio"] for r in sorted(rows, key=lambda r: -r["delta"])]
     succ = [t_ratios[i + 1] / t_ratios[i] for i in range(len(t_ratios) - 1)]
-    t_ok = all(bound_band[0] <= r <= bound_band[1] for r in succ)
+    t_ok = all(EXIT_THETA_BAND[0] <= r <= EXIT_THETA_BAND[1] for r in succ)
     return EstimatorReport(
         name="mean_exit_stats",
         estimates={"rows": rows, "successive_theta_ratios": succ},
@@ -443,8 +447,8 @@ def mean_exit_stats(c: CoefficientSet, t: float, ell: float, deltas: Sequence[fl
         n=n,
         passed=bool(l_ok and t_ok),
         seed=cfg.seed,
-        details={"t": t, "ell": ell, "l_ratio_band": list(ratio_band),
-                 "theta_band": list(bound_band), "l_pass": l_ok, "theta_pass": t_ok},
+        details={"t": t, "ell": ell, "l_ratio_band": list(EXIT_L_RATIO_BAND),
+                 "theta_band": list(EXIT_THETA_BAND), "l_pass": l_ok, "theta_pass": t_ok},
     )
 
 
@@ -556,6 +560,7 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
     if U is None or U < 1:
         raise ValueError("lag must be a positive whole number of steps")
     going_up = spec.kind == "hitting" and init.x < spec.level
+    cfg_restart = replace(cfg, seed=_rng.derive_seed(cfg.seed, "markov-restart"))
 
     def block(lo, hi):
         nb = hi - lo
@@ -597,11 +602,8 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
         fresh = np.full(nb, np.nan)
         if idx.size:
             t_tau = init.t + tau_idx[idx] * cfg.h
-            res2 = run_batch(
-                c, cfg, K=U, t0=t_tau, x0=sx[idx], edge0=se[idx], l0=sl[idx],
-                path_ids=(lo + idx).astype(np.uint64),
-                seed=_rng.derive_seed(cfg.seed, "markov-restart"),
-            )
+            res2 = run_batch(c, cfg_restart, K=U, t0=t_tau, x0=sx[idx], edge0=se[idx],
+                             l0=sl[idx], path_ids=(lo + idx).astype(np.uint64))
             fresh[idx] = fn(res2.x, res2.edge, res2.l)
         return fval, fresh, ok
 

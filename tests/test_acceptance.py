@@ -24,6 +24,8 @@ from spidersim.network import TestFunction, TfTerm, constant_coefficients
 from spidersim.pde import PdeGrid, PdeProblem, flat_profile_poly, manufactured_backward, solve
 from spidersim.simulator import SimConfig, SpiderState, simulate_batch, simulate_path
 from spidersim.verify import (
+    EXIT_L_RATIO_BAND,
+    EXIT_THETA_BAND,
     StoppingSpec,
     atom_test,
     constant_function,
@@ -130,8 +132,8 @@ def test_criterion_04_occupation_estimator(oracle_ensemble):
 def test_criterion_05_exit_asymptotics():
     c = constant_coefficients(2, sigma=1.0, b=0.0, alpha=[0.5, 0.5])
     cfg = SimConfig(h=1e-6, T=0.08, delta_shell=1e-4, seed=105)
-    rep = mean_exit_stats(c, 0.0, 0.0, [0.04, 0.02, 0.01], 10_000, cfg,
-                          ratio_band=(0.9, 1.1), bound_band=(0.5, 2.0))
+    assert (EXIT_L_RATIO_BAND, EXIT_THETA_BAND) == ((0.9, 1.1), (0.5, 2.0))
+    rep = mean_exit_stats(c, 0.0, 0.0, [0.04, 0.02, 0.01], 10_000, cfg)
     rows = rep.estimates["rows"]
     small = min(rows, key=lambda r: r["delta"])
     _report(5, "exit-time and local-time asymptotics", rep.passed,

@@ -294,6 +294,14 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
      [], "exitstats.t"),
     ("ito", {"sim": {"h": 1e-3, "T": 1e-3}, "ito": {"h_list": [1e-4, 3e-5]}}, [],
      "ito.h_list"),
+    ("ito", {"sim": {"h": 1e-4, "T": 1e-3}, "ito": {"h_list": [3e-4, 1e-4]}}, [],
+     "ito.h_list[0]"),
+    ("ito", {"sim": {"h": 1e-4, "T": 3e-4}, "ito": {"h_list": [1e-4, 3e-5]}}, [],
+     "ito.h_list[0]"),
+    ("ito", {"sim": {"h": 1e-4, "T": 1e-3}, "init": {"t": 0.5}, "ito": {"h_list": [1e-4]}},
+     [], "ito.h_list[0]"),
+    ("fk", {"fk": {"g": ["0", "0"], "queries": [[0.25, 0.4, 1, 0.1]]}}, [],
+     "fk.queries[0][0]"),
     ("exitstats", {"exitstats": {"deltas": [0.04], "n": 1}}, [], "exitstats.n"),
     ("atom", {"sim": {"h": 1e-3, "T": 0.25, "n_paths": 0}}, [], "sim.n_paths"),
 ], ids=["hitting-without-level", "scatter-below-min-excursions", "s-past-horizon",
@@ -303,6 +311,8 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
         "localtime-T-off-grid", "simulate-init-t-off-grid", "simulate-init-t-past-T",
         "martingale-init-t-off-grid", "markov-init-t-off-grid", "fk-query-t-off-grid",
         "scatter-t-off-grid", "exitstats-t-off-grid", "ito-T-off-finest-grid",
+        "ito-coarse-grid-misses-T", "ito-h-not-a-multiple", "ito-init-t-past-T",
+        "fk-query-at-T",
         "exitstats-one-path", "atom-no-paths"])
 def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks, flags, key):
     """Values of the right type that break a precondition of the library

@@ -15,7 +15,7 @@ from spidersim.localtime import (
     skorokhod_oracle,
 )
 from spidersim.network import TestFunction, TfTerm, constant_coefficients
-from spidersim.simulator import SimConfig, SpiderPath, SpiderState, simulate_batch
+from spidersim.simulator import SimConfig, SpiderPath, SpiderState, run_paths
 from spidersim.verify import identity_function
 
 
@@ -116,8 +116,8 @@ def test_functional_tracks_vertex_integral():
         TfTerm(edge_coeffs=(1.0, -0.8), x_poly=(0.0, 1.0), l_poly=(1.0, 0.2)),
         TfTerm(edge_coeffs=(0.5, 0.5), x_poly=(1.0,), l_poly=(0.0, 1.0)),
     ))
-    cfg = SimConfig(h=2e-4, T=0.5, n_paths=250, seed=14, store_paths=True)
-    res = simulate_batch(c, SpiderState(0.0, 0.4, 1, 0.0), cfg)
+    cfg = SimConfig(h=2e-4, T=0.5, n_paths=250, seed=14)
+    res = run_paths(c, SpiderState(0.0, 0.4, 1, 0.0), cfg, 0, cfg.n_paths, store=True)
     diffs = {}
     for eps in (0.3, 0.1):
         gaps = []
@@ -144,8 +144,8 @@ def test_occupation_zero_away_from_vertex():
 
 def test_occupation_subset_additivity():
     c = constant_coefficients(2, alpha=[0.7, 0.3])
-    cfg = SimConfig(h=5e-4, T=0.5, n_paths=6, seed=4, store_paths=True)
-    res = simulate_batch(c, SpiderState(0.0, 0.0, 1, 0.0), cfg)
+    cfg = SimConfig(h=5e-4, T=0.5, n_paths=6, seed=4)
+    res = run_paths(c, SpiderState(0.0, 0.0, 1, 0.0), cfg, 0, cfg.n_paths, store=True)
     for p in res.paths:
         full = occupation_estimate(p, c, 0.1, 0.5).value
         split = sum(occupation_estimate(p, c, 0.1, 0.5, edges=[e]).value for e in (1, 2))
@@ -161,9 +161,9 @@ def test_occupation_nondecreasing_in_time():
 
 def test_occupation_batch_matches_stored_paths():
     c = constant_coefficients(2, alpha=[0.7, 0.3])
-    cfg = SimConfig(h=5e-4, T=0.5, n_paths=10, seed=8, store_paths=True)
+    cfg = SimConfig(h=5e-4, T=0.5, n_paths=10, seed=8)
     init = SpiderState(0.0, 0.0, 1, 0.0)
-    res = simulate_batch(c, init, cfg)
+    res = run_paths(c, init, cfg, 0, cfg.n_paths, store=True)
     stream = occupation_batch(c, init, cfg, eps=0.1, edges=[1])
     stored = np.array([occupation_estimate(p, c, 0.1, 0.5, edges=[1]).value
                        for p in res.paths])

@@ -5,46 +5,16 @@ from spidersim.network import (
     CoefficientBounds,
     CoefficientSet,
     NetworkError,
-    NetworkPoint,
     SamplingPlan,
     TestFunction,
     TfTerm,
     constant_coefficients,
-    distance,
     generator,
     per_ray,
     ray_partition,
     validate_coefficients,
     vertex_operator,
 )
-
-
-def test_distance_examples():
-    assert distance(NetworkPoint(1, 1), NetworkPoint(2, 1)) == 1
-    assert distance(NetworkPoint(1, 1), NetworkPoint(2, 2)) == 3
-    assert distance(NetworkPoint(0, 1), NetworkPoint(0, 3)) == 0
-
-
-def test_junction_equivalence():
-    assert NetworkPoint(0, 1) == NetworkPoint(0, 7)
-    assert NetworkPoint(0.5, 1) != NetworkPoint(0.5, 2)
-    assert hash(NetworkPoint(0, 1)) == hash(NetworkPoint(0, 5))
-
-
-def test_distance_is_a_metric_on_random_triples():
-    rng = np.random.default_rng(3)
-    pts = [NetworkPoint(float(x), int(e)) for x, e in
-           zip(rng.uniform(0, 3, 60), rng.integers(1, 4, 60))]
-    pts += [NetworkPoint(0.0, 1), NetworkPoint(0.0, 2)]
-    for p in pts:
-        assert distance(p, p) == 0
-    for _ in range(400):
-        p, q, r = (pts[i] for i in rng.integers(0, len(pts), 3))
-        assert distance(p, q) >= 0
-        assert distance(p, q) == distance(q, p)
-        assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-12
-        if distance(p, q) == 0:
-            assert p == q
 
 
 def test_validate_constant_coefficients_pass():

@@ -8,7 +8,6 @@ from spidersim.pde import (
     PdeGrid,
     PdeProblem,
     PdeSolution,
-    default_truncation,
     flat_profile_poly,
     manufactured_backward,
     residual,
@@ -237,19 +236,11 @@ def test_compatibility_warning_on_kinked_corner():
     assert sol.warnings
 
 
-def test_default_truncation():
-    c = _const_c()
-    R, K = default_truncation(c, T=1.0, x_query=0.5)
-    assert R == pytest.approx(4.5)
-    assert K == pytest.approx(4.0)
-
-
 def test_grid_validation():
     with pytest.raises(PdeError):
         PdeGrid(1, 4, 4)
     with pytest.raises(PdeError):
         PdeGrid(5, 4, 4).coarsened()
-    assert PdeGrid(8, 6, 4).refined() == PdeGrid(16, 12, 8)
 
 
 def test_discontinuous_vertex_data_rejected():

@@ -11,7 +11,9 @@ from spidersim.simulator import (
     SpiderPath,
     SpiderState,
     first_hit,
+    map_path_blocks,
     run_batch,
+    run_paths,
     simulate_batch,
     simulate_path,
 )
@@ -171,12 +173,13 @@ def test_batch_determinism_and_worker_invariance():
 
 def test_empty_batch():
     c = _c()
+    init = SpiderState(0.0, 1.0, 1, 0.0)
+    cfg = SimConfig(h=1e-2, T=0.1, n_paths=0, seed=1)
     for store, workers in ((False, 1), (True, 1), (False, 3), (True, 3)):
-        res = simulate_batch(c, SpiderState(0.0, 1.0, 1, 0.0),
-                             SimConfig(h=1e-2, T=0.1, n_paths=0, seed=1, store_paths=store),
-                             workers=workers)
+        res = map_path_blocks(0, workers, lambda lo, hi: run_paths(c, init, cfg, lo, hi, store=store))
         assert res.n == 0 and res.x.dtype == np.float64 and res.edge.dtype == np.int64
         assert res.paths == ([] if store else None)
+    assert simulate_batch(c, init, cfg, workers=3).paths is None
 
 
 def test_radial_alpha_invariance():

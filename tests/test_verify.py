@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from spidersim import simulator, verify
 from spidersim.network import CoefficientSet, constant_coefficients
-from spidersim.simulator import SimConfig, SpiderState, simulate_batch, simulate_path
+from spidersim.simulator import (SimConfig, SimulationError, SpiderState, run_paths,
+                                 simulate_batch, simulate_path)
 from spidersim.verify import (
     DEFAULT_BIAS_CONSTANT,
     EstimatorReport,
@@ -48,6 +50,38 @@ def test_ito_residual_shrinks_with_h_on_matched_skeletons():
     assert vals[0] > vals[1] > vals[2]
 
 
+def _spy_run_batch(monkeypatch):
+    """Record the config, K and t0 of every run_batch call, wherever it is
+    looked up (as tests/test_tracer_contract.py does)."""
+    orig = simulator.run_batch
+    calls = []
+
+    def spy(c, cfg, **kw):
+        calls.append((cfg, kw["K"], kw["t0"]))
+        return orig(c, cfg, **kw)
+
+    for mod in (simulator, verify):
+        for attr, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
+def test_ito_convergence_runs_every_step_size_from_init_t_to_T(monkeypatch):
+    calls = _spy_run_batch(monkeypatch)
+    ito_convergence(_c(), SpiderState(0.5, 0.1, 1, 0.0), make_battery(2)[0],
+                    [2e-4, 1e-4, 5e-5], T=0.501, n_paths=3, seed=5)
+    assert sorted(cfg.h for cfg, _, _ in calls) == [5e-5, 1e-4, 2e-4]
+    for cfg, K, t0 in calls:
+        assert t0 == 0.5 and abs(t0 + K * cfg.h - 0.501) < 1e-12, (cfg.h, K)
+
+
+def test_ito_convergence_rejects_a_step_whose_grid_misses_T():
+    with pytest.raises(SimulationError, match="horizon"):
+        ito_convergence(_c(), SpiderState(0.0, 0.1, 1, 0.0), make_battery(2)[0],
+                        [3e-4, 1e-4], T=1e-3, n_paths=3, seed=5)
+
+
 def test_martingale_residual_constant_function_is_exact():
     c = _c()
     cfg = SimConfig(h=2e-3, T=0.5, n_paths=50, seed=2)
@@ -67,10 +101,10 @@ def test_martingale_residual_needs_two_paths(n):
 
 def test_martingale_streaming_matches_stored_paths():
     c = _c(I=2, alpha=[0.7, 0.3])
-    cfg = SimConfig(h=2e-3, T=0.5, n_paths=40, seed=6, store_paths=True)
+    cfg = SimConfig(h=2e-3, T=0.5, n_paths=40, seed=6)
     init = SpiderState(0.0, 0.0, 1, 0.0)
     f = make_battery(2)[1]
-    res = simulate_batch(c, init, cfg)
+    res = run_paths(c, init, cfg, 0, cfg.n_paths, store=True)
     per_path = martingale_residual_paths(res.paths, c, f, 0.0, 0.5)
     rep = martingale_residual(c, init, cfg, f, 0.0, 0.5)
     assert rep.estimates["mean"][0] == pytest.approx(per_path.mean(), abs=1e-12)
