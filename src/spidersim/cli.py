@@ -120,8 +120,10 @@ def _steps(value: float, key: str, t0: float, h: float, grid: str) -> int:
 
 
 def _start(t: float, key: str, sim: SimConfig) -> float:
-    """t, the start time key of a run to sim.T, with sim.T on its grid."""
-    _steps(sim.T, "sim.T", t, sim.h, f"{key} + k*sim.h")
+    """t, the start time key of a run to sim.T: sim.T is on its grid, at
+    least one step after t."""
+    if _steps(sim.T, "sim.T", t, sim.h, f"{key} + k*sim.h") == 0:
+        raise ConfigError(f"{key} = {t!r} must be before sim.T = {sim.T!r}")
     return t
 
 
@@ -138,9 +140,7 @@ def _fk_problem(cfg: dict, I: int, sim: SimConfig) -> tuple[FKProblem, list[tupl
                      h_bound=num(block, "h_bound", "fk", default=10.0, lo=0.0))
     queries = _queries(block, "fk", I)
     for k, q in enumerate(queries):
-        key = f"fk.queries[{k}][0]"
-        if _steps(sim.T, "sim.T", q[0], sim.h, f"{key} + k*sim.h") == 0:
-            raise ConfigError(f"{key} = {q[0]!r} must be before sim.T = {sim.T!r}")
+        _start(q[0], f"fk.queries[{k}][0]", sim)
     return prob, queries
 
 
@@ -286,7 +286,11 @@ def _run_ito(cfg, c, sim, workers):
         key = f"ito.h_list[{j}]"
         if verify.multiple_of(h, min(h_list)) is None:
             raise ConfigError(f"{key} = {h!r} is not a whole multiple of min(ito.h_list) to 1e-12")
-        _steps(sim.T, "sim.T", init.t, h, f"init.t + k*{key}")
+        k = _steps(sim.T, "sim.T", init.t, h, f"init.t + k*{key}")
+    if len(h_list) < 2:
+        raise ConfigError("ito.h_list needs at least two step sizes to compare")
+    if k == 0:  # init.t is sim.T, so every grid has zero steps
+        raise ConfigError(f"init.t = {init.t!r} must be before sim.T = {sim.T!r}")
     f = verify.make_battery(c.I)[0]
     rep = verify.ito_convergence(
         c, init, f, h_list, sim.T,

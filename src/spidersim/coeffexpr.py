@@ -30,7 +30,7 @@ from .network import (
 __all__ = [
     "Expr", "Num", "Var", "Neg", "BinOp", "Call",
     "parse", "pretty", "evaluate", "variables",
-    "AlphaSpec", "build_coefficient_set",
+    "build_coefficient_set",
     "require_keys", "num", "num_list", "choice", "expression", "edge_exprs",
     "CoeffExprError", "ParseError", "EvalError", "ConfigError",
 ]
@@ -488,52 +488,32 @@ def edge_exprs(block: dict, key: str, where: str, I: int,
 # -- coefficient assembly -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaSpec:
-    """Edge-selection weights: I expressions over (t, l).
-
-    mode "exact" requires the expressions to sum to one; "renormalize"
-    divides by the sum and requires every raw value to be positive.
-    """
-
-    exprs: tuple[Expr, ...]
-    mode: str = "exact"
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "renormalize"):
-            raise ConfigError(f"unknown alpha mode {self.mode!r}")
-        for e in self.exprs:
-            extra = variables(e) - {"t", "l"}
-            if extra:
-                raise ConfigError(
-                    f"alpha expressions may use only t and l, found {sorted(extra)}")
-
-    def evaluator(self):
-        exprs = self.exprs
-        mode = self.mode
-        I = len(exprs)
-
-        def alpha(t, l):
-            t = np.asarray(t, dtype=np.float64)
-            l = np.asarray(l, dtype=np.float64)
-            cols = [np.broadcast_to(evaluate(e, t, 0.0, l),
-                                    np.broadcast_shapes(t.shape, l.shape)) for e in exprs]
-            raw = np.stack([np.ravel(col) for col in cols], axis=-1)
-            if mode == "renormalize":
-                if np.any(raw <= 0):
-                    raise EvalError("renormalized alpha requires positive raw values")
-                raw = raw / raw.sum(axis=-1, keepdims=True)
-            if t.ndim == 0 and l.ndim == 0:
-                return raw.reshape(I)
-            return raw
-
-        return alpha
-
-
 def _evaluator(node: Expr):
     """An expression without variables, evaluated once, as the number: a
     constant coefficient.  Any other expression compiled."""
     return _compile(node) if variables(node) else evaluate(node)
+
+
+def _alpha(exprs: tuple[Expr, ...], mode: str):
+    """The ray weights of I expressions over (t, l): I numbers, evaluated
+    once, when no expression has a variable; else an evaluator of 1-d t and
+    l that returns (n, I) and calls ``evaluate`` through the module global.
+    Mode "renormalize" divides by the sum and needs every raw value positive;
+    "exact" takes the values as they are."""
+    def weights(raw):
+        if mode == "renormalize":
+            if np.any(raw <= 0):
+                raise EvalError("renormalized alpha requires positive raw values")
+            raw = raw / raw.sum(axis=-1, keepdims=True)
+        return raw
+
+    if not any(map(variables, exprs)):
+        return tuple(weights(np.array([evaluate(e) for e in exprs])).tolist())
+
+    def alpha(t, l):
+        return weights(np.stack([evaluate(e, t, 0.0, l) for e in exprs], axis=-1))
+
+    return alpha
 
 
 _BOUND_DEFAULTS = {"a_lower": 1e-3, "sigma_lower": 1e-3, "b_bound": 10.0,
@@ -557,10 +537,8 @@ def build_coefficient_set(config: dict) -> CoefficientSet:
     if isinstance(alpha_cfg, (list, tuple)):
         alpha_cfg = {"exprs": alpha_cfg}
     alpha_cfg = require_keys(alpha_cfg, {"exprs", "mode"}, "network.alpha")
-    spec = AlphaSpec(
-        exprs=edge_exprs(alpha_cfg, "exprs", "network.alpha", I, ("t", "l")),
-        mode=choice(alpha_cfg, "mode", "network.alpha", ("exact", "renormalize"), "exact"),
-    )
+    alpha = _alpha(edge_exprs(alpha_cfg, "exprs", "network.alpha", I, ("t", "l")),
+                   choice(alpha_cfg, "mode", "network.alpha", ("exact", "renormalize"), "exact"))
 
     bounds_cfg = require_keys(config.get("bounds"), _BOUND_DEFAULTS, "network.bounds")
     bounds = CoefficientBounds(**{k: num(bounds_cfg, k, "network.bounds", default=v, lo=0.0)
@@ -578,14 +556,19 @@ def build_coefficient_set(config: dict) -> CoefficientSet:
         I=I,
         b=tuple(_evaluator(e) for e in b_exprs),
         sigma=tuple(_evaluator(e) for e in s_exprs),
-        alpha=spec.evaluator(),
+        alpha=alpha,
         bounds=bounds,
     )
     report = validate_coefficients(cset, plan)
     clause_a = report.clause("A")
     if not clause_a.passed:
+        t, l = clause_a.where[:2]
+        total = float(cset.alpha_matrix(t, l).sum())
+        if abs(total - 1.0) > 1e-12:
+            raise ConfigError(f"alpha weights sum to {total!r} at (t, l) = ({t!r}, {l!r}) "
+                              f"on the sampling grid; they must sum to 1")
         raise ConfigError(
-            f"alpha violates the lower bound {bounds.a_lower} on the default grid "
+            f"alpha violates the lower bound {bounds.a_lower} on the sampling grid "
             f"(worst {clause_a.worst:.6g} at {clause_a.where})")
     return CoefficientSet(
         I=cset.I, b=cset.b, sigma=cset.sigma, alpha=cset.alpha,

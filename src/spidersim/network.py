@@ -91,20 +91,23 @@ def _evaluate(fn, t, x, l) -> np.ndarray:
 class CoefficientSet:
     """Per-edge drift/diffusion evaluators and the edge-selection weights.
 
-    b[e] and sigma[e] map (t, x, l) -> real (a number is a constant), alpha
-    maps (t, l) -> weight vector of length I.  Evaluators must be pure and
-    accept numpy arrays.  b_table (sigma_table) holds the I values of b
-    (sigma) when every ray's is a number, and is None otherwise.
+    b[e] and sigma[e] map (t, x, l) -> real (a number is a constant).  alpha
+    is either I numbers, the weights of a constant family, or maps 1-d
+    arrays t and l of n points to an (n, I) array of weights.  Evaluators
+    must be pure and accept numpy arrays.  b_table (sigma_table,
+    alpha_table) holds the I values of b (sigma, alpha) when they are
+    numbers, and is None otherwise.
     """
 
     I: int
     b: tuple[Callable | float, ...]
     sigma: tuple[Callable | float, ...]
-    alpha: Callable
+    alpha: Callable | tuple[float, ...]
     bounds: CoefficientBounds
     validation: "ValidationReport | None" = field(default=None, compare=False)
     b_table: np.ndarray | None = field(init=False, repr=False, compare=False)
     sigma_table: np.ndarray | None = field(init=False, repr=False, compare=False)
+    alpha_table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.I < 2:
@@ -115,6 +118,10 @@ class CoefficientSet:
             fns = getattr(self, name)
             object.__setattr__(self, f"{name}_table", None if any(map(callable, fns))
                                else np.array(fns, dtype=np.float64))
+        table = None if callable(self.alpha) else np.array(self.alpha, dtype=np.float64)
+        if table is not None and table.shape != (self.I,):
+            raise NetworkError(f"alpha table has shape {table.shape}, expected ({self.I},)")
+        object.__setattr__(self, "alpha_table", table)
 
     def drift(self, edge: int, t, x, l):
         return _evaluate(self.b[edge - 1], t, x, l)
@@ -123,26 +130,24 @@ class CoefficientSet:
         return _evaluate(self.sigma[edge - 1], t, x, l)
 
     def alpha_matrix(self, t, l) -> np.ndarray:
-        """Weights as an (n, I) array for 1-d inputs (or (I,) for scalars).
-
-        The evaluator must return shape (n, I) for array inputs or (I,) for
-        a constant family; nothing else is accepted (no transposition
-        guessing, which would be ambiguous exactly when n == I).
-        """
+        """Weights at the n points of t and l (0-d or 1-d, broadcast
+        together): (n, I), or the (I,) row for scalars.  A table is
+        broadcast; an evaluator gets two 1-d arrays and must return (n, I)
+        (no transposition guessing, which is ambiguous when n == I)."""
         t = np.asarray(t, dtype=np.float64)
         l = np.asarray(l, dtype=np.float64)
-        out = np.asarray(self.alpha(t, l), dtype=np.float64)
-        if t.ndim == 0:
-            if out.shape not in ((self.I,), (1, self.I)):
+        if t.shape != l.shape:
+            t, l = np.broadcast_arrays(t, l)
+        scalar = t.ndim == 0
+        t, l = t.ravel(), l.ravel()
+        if self.alpha_table is not None:
+            out = np.broadcast_to(self.alpha_table, (t.size, self.I))
+        else:
+            out = np.asarray(self.alpha(t, l), dtype=np.float64)
+            if out.shape != (t.size, self.I):
                 raise NetworkError(
-                    f"alpha evaluator returned shape {out.shape}, expected ({self.I},)")
-            return out.reshape(self.I)
-        if out.shape == (self.I,):
-            return np.broadcast_to(out, (t.size, self.I)).copy()
-        if out.shape != (t.size, self.I):
-            raise NetworkError(
-                f"alpha evaluator returned shape {out.shape}, expected ({t.size}, {self.I})")
-        return out
+                    f"alpha evaluator returned shape {out.shape}, expected ({t.size}, {self.I})")
+        return out[0] if scalar else out
 
 
 def constant_coefficients(
@@ -152,14 +157,12 @@ def constant_coefficients(
     alpha: Sequence[float] | None = None,
     bounds: CoefficientBounds | None = None,
 ) -> CoefficientSet:
-    """Constant-coefficient set: b and sigma are numbers, so both have tables."""
+    """Constant-coefficient set: b, sigma and alpha are numbers, so all three have tables."""
     sig = np.broadcast_to(np.asarray(sigma, dtype=float), (I,)).copy()
     drift = np.broadcast_to(np.asarray(b, dtype=float), (I,)).copy()
     if alpha is None:
         alpha = np.full(I, 1.0 / I)
     al = np.asarray(alpha, dtype=float)
-    if al.shape != (I,):
-        raise NetworkError(f"alpha must have length {I}")
     if abs(al.sum() - 1.0) > 1e-12 or not np.all(al >= 0):
         raise NetworkError("alpha must be nonnegative and sum to 1")
     if bounds is None:
@@ -171,17 +174,11 @@ def constant_coefficients(
             alpha_lip=1e-9,
         )
 
-    def alpha_fn(t, l, _al=al):
-        t = np.asarray(t, dtype=np.float64)
-        if t.ndim == 0:
-            return _al.copy()
-        return np.broadcast_to(_al, (t.size, I)).copy()
-
     return CoefficientSet(
         I=I,
         b=tuple(drift.tolist()),
         sigma=tuple(sig.tolist()),
-        alpha=alpha_fn,
+        alpha=tuple(al.tolist()),
         bounds=bounds,
     )
 
@@ -273,19 +270,18 @@ def validate_coefficients(c: CoefficientSet, plan: SamplingPlan | None = None) -
     # -- clause (A): weights on the (t, l) grid
     tt, ll = np.meshgrid(tg, lg, indexing="ij")
     amat = c.alpha_matrix(tt.ravel(), ll.ravel())
-    if amat.shape != (tt.size, c.I):
-        raise NetworkError(
-            f"alpha evaluator returned wrong-length vector: {amat.shape[-1]} != {c.I}"
-        )
-    sums = amat.sum(axis=1)
-    sum_dev = float(np.max(np.abs(sums - 1.0)))
+    devs = np.abs(amat.sum(axis=1) - 1.0)
+    sum_dev = float(np.max(devs))
     amin = float(np.min(amat))
     a_ok = sum_dev <= 1e-12 and amin >= bounds.a_lower
-    idx = np.unravel_index(np.argmin(amat), amat.shape)
-    clause_a = ClauseResult(
-        "A", a_ok, worst=amin if sum_dev <= 1e-12 else -sum_dev, limit=bounds.a_lower,
-        where=(float(tt.ravel()[idx[0]]), float(ll.ravel()[idx[0]]), int(idx[1]) + 1),
-    )
+    if sum_dev <= 1e-12:  # where: the smallest weight (t, l, ray)
+        row, ray = np.unravel_index(np.argmin(amat), amat.shape)
+        where = (float(tt.ravel()[row]), float(ll.ravel()[row]), int(ray) + 1)
+    else:  # where: the row (t, l) whose sum is furthest from one
+        row = int(np.argmax(devs))
+        where = (float(tt.ravel()[row]), float(ll.ravel()[row]))
+    clause_a = ClauseResult("A", a_ok, worst=amin if sum_dev <= 1e-12 else -sum_dev,
+                            limit=bounds.a_lower, where=where)
 
     # -- per-edge fields on the (t, x, l) grid
     T3, X3, L3 = np.meshgrid(tg, xg, lg, indexing="ij")

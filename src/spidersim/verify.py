@@ -342,10 +342,16 @@ def ito_convergence(c: CoefficientSet, init: SpiderState, f: TestFunction,
                     seed: int) -> EstimatorReport:
     """Mean pathwise chain-rule residual across step sizes on matched
     Brownian skeletons (coarse increments aggregate the finest ones).  Every
-    step size runs from init.t to T, so T must lie on each grid init.t + k h."""
+    step size runs from init.t to T, so T must lie on each grid init.t + k h.
+    Needs at least two step sizes and init.t before T, so that there is a
+    trend to check."""
+    if len(h_list) < 2:
+        raise ValueError("need at least two step sizes to compare")
     hs = sorted(h_list, reverse=True)
     h_fine = hs[-1]
     k_fine = SimConfig(h=h_fine, T=T).n_steps(init.t)
+    if k_fine == 0:
+        raise ValueError(f"init.t = {init.t!r} must be before T = {T!r}")
     ids = np.arange(n_paths, dtype=np.uint64)
     seed_g = _rng.derive_seed(seed, "matched-skeleton")
     g_fine = np.empty((n_paths, k_fine))
@@ -381,6 +387,8 @@ def scattering_distribution(c: CoefficientSet, t: float, ell: float, delta: floa
                             n: int, cfg: SimConfig, workers: int = 1) -> EstimatorReport:
     """Empirical law of the exit ray at the first passage of level delta,
     started at the junction with local-time level ell, against alpha(t, ell)."""
+    if t >= cfg.T:
+        raise ValueError(f"start time t = {t!r} must be before the horizon T = {cfg.T!r}")
     if delta < MIN_DELTA_SHELLS * cfg.delta_shell:
         raise ValueError("need delta >= 2 delta_shell")
     if n < MIN_EXCURSIONS:
@@ -414,6 +422,8 @@ def mean_exit_stats(c: CoefficientSet, t: float, ell: float, deltas: Sequence[fl
     EXIT_L_RATIO_BAND and successive ratios of the scaled exit times stay
     inside EXIT_THETA_BAND.  Every level needs at least two first passages by cfg.T.
     """
+    if t >= cfg.T:
+        raise ValueError(f"start time t = {t!r} must be before the horizon T = {cfg.T!r}")
     if n < 2:
         raise ValueError("need at least two paths for a standard error")
     rows = []

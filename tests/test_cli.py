@@ -304,6 +304,14 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
      "fk.queries[0][0]"),
     ("exitstats", {"exitstats": {"deltas": [0.04], "n": 1}}, [], "exitstats.n"),
     ("atom", {"sim": {"h": 1e-3, "T": 0.25, "n_paths": 0}}, [], "sim.n_paths"),
+    ("ito", {"ito": {"h_list": [1e-3]}}, [], "ito.h_list"),
+    ("ito", {"init": {"t": 0.25}, "ito": {"h_list": [5e-3, 1e-3]}}, [], "init.t"),
+    ("scatter", {"scatter": {"t": 0.25, "delta": 0.05, "n": 10**4}}, [], "scatter.t"),
+    ("exitstats", {"exitstats": {"t": 0.25, "deltas": [0.04], "n": 100}}, [], "exitstats.t"),
+    ("simulate", {"init": {"t": 0.25}}, [], "init.t"),
+    ("atom", {"init": {"t": 0.25}}, [], "init.t"),
+    ("markov", {"init": {"t": 0.25}}, [], "init.t"),
+    ("martingale", {"init": {"t": 0.25}}, [], "init.t"),
 ], ids=["hitting-without-level", "scatter-below-min-excursions", "s-past-horizon",
         "negative-seed-flag", "scatter-delta-below-two-shells", "exit-delta-below-shell",
         "empty-window", "s-off-grid", "s_prime-off-grid", "lag-off-grid",
@@ -313,7 +321,9 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
         "scatter-t-off-grid", "exitstats-t-off-grid", "ito-T-off-finest-grid",
         "ito-coarse-grid-misses-T", "ito-h-not-a-multiple", "ito-init-t-past-T",
         "fk-query-at-T",
-        "exitstats-one-path", "atom-no-paths"])
+        "exitstats-one-path", "atom-no-paths", "ito-one-step-size", "ito-init-t-at-T",
+        "scatter-t-at-T", "exitstats-t-at-T", "simulate-init-t-at-T", "atom-init-t-at-T",
+        "markov-init-t-at-T", "martingale-init-t-at-T"])
 def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks, flags, key):
     """Values of the right type that break a precondition of the library
     call are configuration errors (exit 2), not runtime errors (exit 3)."""

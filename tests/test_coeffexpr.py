@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from spidersim.coeffexpr import (
     _compile,
-    AlphaSpec,
     BinOp,
     Call,
     ConfigError,
@@ -183,7 +182,27 @@ def test_build_rejects_unknown_keys():
 
 
 def test_renormalize_requires_positive_raw_values():
-    spec = AlphaSpec(exprs=(parse("l - 1"), parse("1")), mode="renormalize")
-    alpha = spec.evaluator()
-    with pytest.raises(EvalError, match="positive"):
-        alpha(0.0, 0.5)
+    for exprs in (["l - 1", "1"], ["-1", "2"]):  # evaluated on the grid, and folded once
+        cfg = {"I": 2, "b": "0", "sigma": "1", "alpha": {"exprs": exprs, "mode": "renormalize"}}
+        with pytest.raises(EvalError, match="positive"):
+            build_coefficient_set(cfg)
+
+
+def test_literal_weights_are_a_table_and_variable_weights_an_evaluator():
+    c = build_coefficient_set({"I": 2, "b": "0", "sigma": "1",
+                               "alpha": {"exprs": ["3", "1"], "mode": "renormalize"}})
+    assert c.alpha == (0.75, 0.25) and c.alpha_table.tolist() == [0.75, 0.25]
+    c = build_coefficient_set(_base_config())
+    assert c.alpha_table is None
+    assert c.alpha(np.zeros(4), np.ones(4)).shape == (4, 3)
+
+
+@pytest.mark.parametrize("weights, match", [
+    (["0.5", "0.6"], r"sum to 1\.1 "),
+    (["0.5 + 0.1*l", "0.5"], r"sum to 1\.4 at \(t, l\) = \(0\.0, 4\.0\)"),
+    (["0.95", "0.05"], "lower bound 0.1"),
+], ids=["literal-sum", "sum-in-l", "floor"])
+def test_clause_a_failure_names_what_failed(weights, match):
+    cfg = {"I": 2, "b": "0", "sigma": "1", "alpha": weights, "bounds": {"a_lower": 0.1}}
+    with pytest.raises(ConfigError, match=match):
+        build_coefficient_set(cfg)

@@ -59,6 +59,27 @@ def test_validate_rejects_wrong_alpha_length():
         validate_coefficients(c)
 
 
+def test_alpha_evaluator_has_one_return_shape():
+    """An evaluator gets 1-d t and l and returns (n, I), also for scalar
+    inputs; a row of I weights for n points is an error, as is a table of
+    the wrong length."""
+    base = constant_coefficients(2)
+    seen = []
+
+    def row(t, l):
+        seen.append((t.shape, l.shape))
+        return np.array([0.5, 0.5])
+
+    c = CoefficientSet(I=2, b=base.b, sigma=base.sigma, alpha=row, bounds=base.bounds)
+    with pytest.raises(NetworkError, match=r"\(2,\), expected \(3, 2\)"):
+        c.alpha_matrix(np.zeros(3), np.zeros(3))
+    with pytest.raises(NetworkError, match=r"expected \(1, 2\)"):
+        c.alpha_matrix(0.0, 0.0)
+    assert seen == [((3,), (3,)), ((1,), (1,))]
+    with pytest.raises(NetworkError, match="alpha table"):
+        CoefficientSet(I=2, b=base.b, sigma=base.sigma, alpha=(0.2, 0.3, 0.5), bounds=base.bounds)
+
+
 def test_constant_coefficients_reject_negative_weights():
     with pytest.raises(NetworkError, match="nonnegative"):
         constant_coefficients(2, alpha=[1.2, -0.2])
@@ -191,9 +212,8 @@ def _l_dependent_coefficients(I):
     base = constant_coefficients(I)
 
     def alpha(t, l):
-        raw = 1.0 + np.outer(np.atleast_1d(l), np.arange(I, dtype=float))
-        w = raw / raw.sum(axis=1, keepdims=True)
-        return w[0] if np.ndim(t) == 0 else w
+        raw = 1.0 + np.outer(l, np.arange(I, dtype=float))
+        return raw / raw.sum(axis=1, keepdims=True)
 
     return CoefficientSet(I=I, b=base.b, sigma=base.sigma, alpha=alpha, bounds=base.bounds)
 

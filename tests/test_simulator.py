@@ -285,18 +285,19 @@ _B_SPELLED, _SIGMA_SPELLED = ("2*0.05", "-(0.2)", "0*7"), ("sqrt(4)/2", "-(-0.8)
 
 
 def _constant_families():
-    """The same constant family four ways: constant_coefficients, config
+    """The same constant family five ways: constant_coefficients, config
     expressions that are numbers, config expressions without variables that
-    evaluate to those numbers, and config expressions in x that do (0*x is 0
-    for every x >= 0)."""
-    def config(b, sigma):
+    evaluate to those numbers, config expressions in x that do (0*x is 0
+    for every x >= 0), and config weights in l that do."""
+    def config(b, sigma, alpha=tuple(map(str, _ALPHA))):
         return build_coefficient_set({"I": 3, "b": list(b), "sigma": list(sigma),
-                                      "alpha": [str(a) for a in _ALPHA], "bounds": _BOUNDS})
+                                      "alpha": list(alpha), "bounds": _BOUNDS})
     return {"constant": constant_coefficients(3, sigma=_SIGMA, b=_B, alpha=_ALPHA,
                                               bounds=CoefficientBounds(**_BOUNDS)),
             "numbers": config(map(str, _B), map(str, _SIGMA)),
             "spelled": config(_B_SPELLED, _SIGMA_SPELLED),
-            "expressions": config((f"{v} + 0*x" for v in _B), (f"{v} + 0*x" for v in _SIGMA))}
+            "expressions": config((f"{v} + 0*x" for v in _B), (f"{v} + 0*x" for v in _SIGMA)),
+            "weights": config(map(str, _B), map(str, _SIGMA), (f"{a} + 0*l" for a in _ALPHA))}
 
 
 def test_constant_tables_equal_their_evaluators():
@@ -305,11 +306,18 @@ def test_constant_tables_equal_their_evaluators():
     for name in ("constant", "numbers", "spelled"):
         c = sets[name]
         assert c.b_table.tolist() == list(_B) and c.sigma_table.tolist() == list(_SIGMA)
+        assert c.alpha_table.tolist() == list(_ALPHA)
         for e in (1, 2, 3):
             assert np.array_equal(c.drift(e, t, x, l), np.full(7, c.b_table[e - 1]))
             assert np.array_equal(c.diffusion(e, t, x, l), np.full(7, c.sigma_table[e - 1]))
             assert c.drift(e, 0.5, 1.0, 0.0).shape == ()
+        assert np.array_equal(c.alpha_matrix(t, l), np.tile(_ALPHA, (7, 1)))
+        assert np.array_equal(c.alpha_matrix(0.5, l), np.tile(_ALPHA, (7, 1)))  # t broadcasts
+        assert c.alpha_matrix(0.5, 1.0).tolist() == list(_ALPHA)
     assert sets["expressions"].b_table is None and sets["expressions"].sigma_table is None
+    weights = sets["weights"]
+    assert weights.alpha_table is None and callable(weights.alpha)
+    assert np.array_equal(weights.alpha_matrix(t, l), np.tile(_ALPHA, (7, 1)))
 
 
 @pytest.mark.parametrize("policy, stop_level", [("reflection", None), ("shell", None),
@@ -348,7 +356,7 @@ def test_constant_family_skips_coefficient_dispatch(monkeypatch):
 def test_on_step_gets_the_steps_ray_partition(family):
     c = _constant_families()[family]
     c = CoefficientSet(I=3, b=c.b, sigma=c.sigma, bounds=c.bounds,
-                       alpha=lambda t, l: np.array([0.6, 0.4, 0.0]))  # ray 3 is never drawn
+                       alpha=(0.6, 0.4, 0.0))  # ray 3 is never drawn
     seen = []
 
     def on_step(k, t, x, edge, l, dl, contact, b, sigma, parts):

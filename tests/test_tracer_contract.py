@@ -46,9 +46,15 @@ def test_compiled_expressions_call_evaluate_through_the_module(monkeypatch):
         return orig(*args, **kwargs)
 
     fn = coeffexpr._compile(coeffexpr.parse("t + 2*x + 3*l"))
+    c = coeffexpr.build_coefficient_set({
+        "I": 3, "b": "0", "sigma": "1",
+        "alpha": {"exprs": ["1 + l", "1", "1 + t"], "mode": "renormalize"}})
     monkeypatch.setattr(coeffexpr, "evaluate", spy)
     assert fn(1.0, np.array([2.0]), 3.0).tolist() == [14.0]
     assert calls == [1]
+    # the ray weights: one evaluate call per expression, whatever the rows
+    assert c.alpha_matrix(np.zeros(5), np.ones(5)).tolist() == [[0.5, 0.25, 0.25]] * 5
+    assert calls == [1] * 4
 
 
 def _ensembles(workers):

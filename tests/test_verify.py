@@ -82,6 +82,15 @@ def test_ito_convergence_rejects_a_step_whose_grid_misses_T():
                         [3e-4, 1e-4], T=1e-3, n_paths=3, seed=5)
 
 
+@pytest.mark.parametrize("h_list, t0, match", [
+    ([1e-4], 0.0, "two step sizes"), ([2e-4, 1e-4], 1e-3, "before T")],
+    ids=["one-step-size", "init-t-at-T"])
+def test_ito_convergence_needs_something_to_compare(h_list, t0, match):
+    with pytest.raises(ValueError, match=match):
+        ito_convergence(_c(), SpiderState(t0, 0.1, 1, 0.0), make_battery(2)[0],
+                        h_list, T=1e-3, n_paths=3, seed=5)
+
+
 def test_martingale_residual_constant_function_is_exact():
     c = _c()
     cfg = SimConfig(h=2e-3, T=0.5, n_paths=50, seed=2)
@@ -185,6 +194,11 @@ def test_scattering_preconditions():
         scattering_distribution(c, 0.0, 0.0, 0.03, 10**4, cfg)
     with pytest.raises(ValueError, match="1e4"):
         scattering_distribution(c, 0.0, 0.0, 0.05, 100, cfg)
+    for t in (0.05, 0.06):  # a start at or after the horizon has no excursions
+        with pytest.raises(ValueError, match="before the horizon"):
+            scattering_distribution(c, t, 0.0, 0.05, 10**4, cfg)
+        with pytest.raises(ValueError, match="before the horizon"):
+            mean_exit_stats(c, t, 0.0, [0.04], 100, cfg)
 
 
 def test_scattering_symmetric_case():
