@@ -310,8 +310,13 @@ def _run_markov(cfg, c, sim, workers):
     init = _init_state(cfg, c.I)
     _start(init.t, "init.t", sim)
     lag = num(block, "lag", "markov", lo=1e-12)
-    if _steps(lag, "markov.lag", 0.0, sim.h, "k*sim.h") < 1:
+    lag_steps = _steps(lag, "markov.lag", 0.0, sim.h, "k*sim.h")
+    if lag_steps < 1:
         raise ConfigError("markov.lag must be at least one step of sim.h")
+    if need == "time" and _steps(spec.time, "markov.spec.time", init.t, sim.h,
+                                 "init.t + k*sim.h") + lag_steps > sim.n_steps(init.t):
+        raise ConfigError(f"markov.spec.time = {spec.time!r} must be at least markov.lag = "
+                          f"{lag!r} before sim.T = {sim.T!r}")
     rep = verify.strong_markov_test(
         c, spec, choice(block, "functional", "markov", ("x", "l"), "x"), lag,
         num(block, "n", "markov", lo=2, integer=True),

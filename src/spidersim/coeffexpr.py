@@ -15,7 +15,7 @@ sqrt of a negative and non-finite results raise EvalError with a diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -570,7 +570,4 @@ def build_coefficient_set(config: dict) -> CoefficientSet:
         raise ConfigError(
             f"alpha violates the lower bound {bounds.a_lower} on the sampling grid "
             f"(worst {clause_a.worst:.6g} at {clause_a.where})")
-    return CoefficientSet(
-        I=cset.I, b=cset.b, sigma=cset.sigma, alpha=cset.alpha,
-        bounds=cset.bounds, validation=report,
-    )
+    return replace(cset, validation=report)

@@ -115,8 +115,6 @@ def fk_estimate(prob: FKProblem, c: CoefficientSet, query, cfg: SimConfig,
                 workers: int = 1) -> FKEstimate:
     """Monte Carlo value of the representation at query = (t, x, edge, l)."""
     init = SpiderState(*query)
-    if init.t >= cfg.T:
-        raise ValueError("query time must be before the horizon")
     prob.check(c.I)
     if cfg.n_paths < 2:
         raise ValueError("need at least two paths for a standard error")

@@ -11,7 +11,7 @@ unit-diffusion case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -75,7 +75,6 @@ class LocalTimeEstimate:
     value: float
     eps: float
     t: float
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.value < 0:
@@ -126,10 +125,7 @@ def downcrossing_estimate(p: SpiderPath, eps: float, t: float) -> LocalTimeEstim
     """eps times the number of completed eps-to-vertex downcrossings by t."""
     dec = excursion_decompose(p, eps)
     n = dec.count(grid_index(p, t))
-    return LocalTimeEstimate(
-        method="downcrossing", value=eps * n, eps=eps, t=t,
-        meta={"count": n, "policy": p.policy},
-    )
+    return LocalTimeEstimate(method="downcrossing", value=eps * n, eps=eps, t=t)
 
 
 def excursion_functional(p: SpiderPath, f: TestFunction, eps: float, t: float) -> float:
@@ -194,10 +190,7 @@ def occupation_estimate(p: SpiderPath, c: CoefficientSet, eps: float, t: float,
     total = 0.0
     for e in subset:  # one sum per ray, in ray order
         total += float(np.sum(_shell_integrand(c, (e,), eps, *grid)[1])) * p.h
-    return LocalTimeEstimate(
-        method="occupation", value=total / (2.0 * eps), eps=eps, t=t,
-        meta={"edges": subset},
-    )
+    return LocalTimeEstimate(method="occupation", value=total / (2.0 * eps), eps=eps, t=t)
 
 
 def occupation_batch(c: CoefficientSet, init, cfg, eps: float,
@@ -247,8 +240,7 @@ def skorokhod_oracle(gaussians: np.ndarray, h: float, T: float,
     l = -m
     path = SpiderPath(
         t0=0.0, h=h, x=x, edge=np.ones(K + 1, dtype=np.int64), l=l,
-        contact=x == 0.0, gauss=g.copy(), policy="oracle", seed=0,
-        path_index=0, delta_shell=0.0, sigma_bound=1.0,
+        contact=x == 0.0, gauss=g.copy(), delta_shell=0.0, sigma_bound=1.0,
     )
     return path, l
 
@@ -259,7 +251,4 @@ def oracle_path(seed: int, path_index: int, h: float, T: float,
     K = grid_step(0.0, h, T) or 0  # off the grid, skorokhod_oracle raises
     g = _rng.gaussians(seed, np.full(K, path_index, dtype=np.uint64),
                        np.arange(K, dtype=np.uint64))
-    path, l = skorokhod_oracle(g, h, T, x0=x0)
-    path.seed = seed
-    path.path_index = path_index
-    return path, l
+    return skorokhod_oracle(g, h, T, x0=x0)

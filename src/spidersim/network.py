@@ -199,9 +199,6 @@ class SamplingPlan:
             l=np.linspace(0.0, l_max, n),
         )
 
-    def nonempty(self) -> bool:
-        return self.t.size > 0 and self.x.size > 0 and self.l.size > 0
-
 
 @dataclass(frozen=True)
 class ClauseResult:
@@ -225,13 +222,6 @@ class ValidationReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def summary(self) -> str:
-        lines = []
-        for c in self.clauses:
-            tag = "pass" if c.passed else "FAIL"
-            lines.append(f"({c.name}) {tag}: worst {c.worst:.6g} vs limit {c.limit:.6g} at {c.where}")
-        return "\n".join(lines)
 
 
 def _max_quotient(values: np.ndarray, coords: np.ndarray, axis: int):
@@ -262,9 +252,9 @@ def validate_coefficients(c: CoefficientSet, plan: SamplingPlan | None = None) -
         raise NetworkError("need at least two edges")
     if plan is None:
         plan = SamplingPlan.default()
-    if not plan.nonempty():
-        raise NetworkError("sampling plan is empty")
     tg, xg, lg = plan.t, plan.x, plan.l
+    if not (tg.size and xg.size and lg.size):
+        raise NetworkError("sampling plan is empty")
     bounds = c.bounds
 
     # -- clause (A): weights on the (t, l) grid

@@ -165,10 +165,6 @@ class PdeSolution:
     problem: PdeProblem
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def vertex(self) -> np.ndarray:
-        return self.values[0, :, 0, :]
-
     def at(self, t: float, x: float, edge: int, l: float) -> float:
         """Trilinear interpolation on one ray."""
         if not 1 <= edge <= self.values.shape[0]:

@@ -103,8 +103,13 @@ class SimConfig:
             raise SimulationError("seed must fit in 64 bits")
 
     def n_steps(self, t_start: float = 0.0) -> int:
+        """Steps of a run from t_start to T: the one rule for what a run
+        accepts.  t_start must be before T, and T on the grid t_start + k h."""
         k = grid_step(t_start, self.h, self.T)
-        if k is None or k < 0:
+        if t_start >= self.T or k == 0:
+            raise ValueError(
+                f"start time t = {t_start!r} must be before the horizon T = {self.T!r}")
+        if k is None:
             raise SimulationError(
                 f"horizon {self.T} is not {t_start} plus a whole number of steps of size {self.h}")
         return k
@@ -131,9 +136,6 @@ class SpiderPath:
     l: np.ndarray          # (K+1,)
     contact: np.ndarray    # (K+1,) bool, True where the grid point is a vertex visit
     gauss: np.ndarray      # (K,) driving standard normals
-    policy: str = "reflection"
-    seed: int = 0
-    path_index: int = 0
     delta_shell: float = 1e-3
     sigma_bound: float = 1.0
 
@@ -185,7 +187,6 @@ class FirstHitResult:
     edge: np.ndarray
     l: np.ndarray
     censored: np.ndarray
-    level: float
 
     @property
     def n(self) -> int:
@@ -351,15 +352,14 @@ def run_batch(
 
     if absorbing:
         return FirstHitResult(theta=theta, edge=exit_edge, l=exit_l,
-                              censored=np.isnan(theta), level=stop_level)
+                              censored=np.isnan(theta))
     paths = None
     if store:
         paths = [
             SpiderPath(
                 t0=float(np.asarray(t0).ravel()[p] if np.ndim(t0) else t0),
                 h=h, x=X[p].copy(), edge=E[p].copy(), l=L[p].copy(),
-                contact=C[p].copy(), gauss=G[p].copy(), policy=cfg.policy,
-                seed=seed, path_index=int(path_ids[p]), delta_shell=dsh,
+                contact=C[p].copy(), gauss=G[p].copy(), delta_shell=dsh,
                 sigma_bound=c.bounds.sigma_bound,
             )
             for p in range(n)
@@ -380,15 +380,16 @@ def simulate_path(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
 
 def run_paths(c: CoefficientSet, init: SpiderState, cfg: SimConfig, lo: int, hi: int, **kw):
     """run_batch for paths lo..hi-1 from init to cfg.T; kw (on_step, store,
-    stop_level) go to run_batch as given."""
+    stop_level) go to run_batch as given.  A start at or after cfg.T is a
+    ValueError (SimConfig.n_steps), not a zero-step run."""
     return run_batch(c, cfg, K=cfg.n_steps(init.t), t0=init.t, x0=init.x, edge0=init.i,
                      l0=init.l, path_ids=np.arange(lo, hi, dtype=np.uint64), **kw)
 
 
 def _join(parts):
     """Blocks' results in block order: arrays concatenated, lists chained,
-    tuples and dataclasses joined entry by entry; any other value (None, the
-    hit level) is the same in every block and kept once."""
+    tuples and dataclasses joined entry by entry; any other value (None) is
+    the same in every block and kept once."""
     first = parts[0]
     if isinstance(first, np.ndarray):
         return np.concatenate(parts)

@@ -347,16 +347,16 @@ def ito_convergence(c: CoefficientSet, init: SpiderState, f: TestFunction,
     trend to check."""
     if len(h_list) < 2:
         raise ValueError("need at least two step sizes to compare")
+    if init.t >= T:  # n_steps rejects it too; this names init.t and the argument T
+        raise ValueError(f"init.t = {init.t!r} must be before T = {T!r}")
     hs = sorted(h_list, reverse=True)
     h_fine = hs[-1]
     k_fine = SimConfig(h=h_fine, T=T).n_steps(init.t)
-    if k_fine == 0:
-        raise ValueError(f"init.t = {init.t!r} must be before T = {T!r}")
-    ids = np.arange(n_paths, dtype=np.uint64)
     seed_g = _rng.derive_seed(seed, "matched-skeleton")
+    steps = np.arange(k_fine, dtype=np.uint64)
     g_fine = np.empty((n_paths, k_fine))
-    for j in range(k_fine):
-        g_fine[:, j] = _rng.gaussians(seed_g, ids, np.uint64(j))
+    for p in range(n_paths):  # one Philox call per path: its stream, steps 0..k_fine-1
+        g_fine[p] = _rng.gaussians(seed_g, np.full(k_fine, p, dtype=np.uint64), steps)
     means = []
     for h in hs:
         m = multiple_of(h, h_fine)
@@ -387,8 +387,6 @@ def scattering_distribution(c: CoefficientSet, t: float, ell: float, delta: floa
                             n: int, cfg: SimConfig, workers: int = 1) -> EstimatorReport:
     """Empirical law of the exit ray at the first passage of level delta,
     started at the junction with local-time level ell, against alpha(t, ell)."""
-    if t >= cfg.T:
-        raise ValueError(f"start time t = {t!r} must be before the horizon T = {cfg.T!r}")
     if delta < MIN_DELTA_SHELLS * cfg.delta_shell:
         raise ValueError("need delta >= 2 delta_shell")
     if n < MIN_EXCURSIONS:
@@ -422,8 +420,6 @@ def mean_exit_stats(c: CoefficientSet, t: float, ell: float, deltas: Sequence[fl
     EXIT_L_RATIO_BAND and successive ratios of the scaled exit times stay
     inside EXIT_THETA_BAND.  Every level needs at least two first passages by cfg.T.
     """
-    if t >= cfg.T:
-        raise ValueError(f"start time t = {t!r} must be before the horizon T = {cfg.T!r}")
     if n < 2:
         raise ValueError("need at least two paths for a standard error")
     rows = []
@@ -542,9 +538,7 @@ class StoppingSpec:
             raise ValueError(f"{self.kind} rule needs a {need}")
 
 
-def _functional(spec: str | Callable) -> Callable:
-    if callable(spec):
-        return spec
+def _functional(spec: str) -> Callable:
     if spec == "x":
         return lambda x, edge, l: x
     if spec == "l":
@@ -553,14 +547,15 @@ def _functional(spec: str | Callable) -> Callable:
 
 
 def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
-                       functional: str | Callable, lag: float, n: int,
+                       functional: str, lag: float, n: int,
                        cfg: SimConfig, init: SpiderState,
                        workers: int = 1) -> EstimatorReport:
     """Restart check: the law of F(state at tau + lag) along original paths
     must match fresh paths restarted from the recorded state at tau.
 
     Censors paths where tau + lag overruns the horizon; more than 20%
-    censoring flags the report as failed.
+    censoring flags the report as failed.  The time of a time rule is a
+    grid step (simulator.grid_step) at least lag before cfg.T.
     """
     if n < 2:
         raise ValueError("need at least two paths for a two-sample test")
@@ -569,6 +564,13 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
     U = grid_step(0.0, cfg.h, lag)
     if U is None or U < 1:
         raise ValueError("lag must be a positive whole number of steps")
+    k_time = None
+    if STOPPING_RULES[spec.kind] == "time":
+        k_time = grid_step(init.t, cfg.h, spec.time)
+        if k_time is None or not 0 <= k_time <= K - U:
+            raise ValueError(f"stopping time {spec.time!r} must be on the grid init.t + k h, "
+                             f"k >= 0 (init.t = {init.t!r}, h = {cfg.h!r}), and at least "
+                             f"lag = {lag!r} before T = {cfg.T!r}")
     going_up = spec.kind == "hitting" and init.x < spec.level
     cfg_restart = replace(cfg, seed=_rng.derive_seed(cfg.seed, "markov-restart"))
 
@@ -587,10 +589,9 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
             if spec.kind == "hitting":
                 cond = x >= spec.level if going_up else x <= spec.level
             elif spec.kind == "fixed_time":
-                cond = np.full(x.shape, abs(t[0] - spec.time) < 1e-12)
+                cond = np.full(x.shape, k == k_time)
             else:
-                visit = carry_visit | (x == 0.0)
-                cond = visit & (t >= spec.time - 1e-12)
+                cond = (carry_visit | (x == 0.0)) & (k >= k_time)
             newly = undecided & cond
             if newly.any():
                 tau_idx[newly] = k

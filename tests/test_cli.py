@@ -312,6 +312,12 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
     ("atom", {"init": {"t": 0.25}}, [], "init.t"),
     ("markov", {"init": {"t": 0.25}}, [], "init.t"),
     ("martingale", {"init": {"t": 0.25}}, [], "init.t"),
+    ("markov", {"markov": {"spec": {"kind": "fixed_time", "time": 0.0105}, "lag": 0.02,
+                           "n": 100}}, [], "markov.spec.time"),
+    ("markov", {"markov": {"spec": {"kind": "fixed_time", "time": 0.3}, "lag": 0.02,
+                           "n": 100}}, [], "markov.spec.time"),
+    ("markov", {"markov": {"spec": {"kind": "vertex_after", "time": 0.24}, "lag": 0.02,
+                           "n": 100}}, [], "markov.spec.time"),
 ], ids=["hitting-without-level", "scatter-below-min-excursions", "s-past-horizon",
         "negative-seed-flag", "scatter-delta-below-two-shells", "exit-delta-below-shell",
         "empty-window", "s-off-grid", "s_prime-off-grid", "lag-off-grid",
@@ -323,7 +329,8 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
         "fk-query-at-T",
         "exitstats-one-path", "atom-no-paths", "ito-one-step-size", "ito-init-t-at-T",
         "scatter-t-at-T", "exitstats-t-at-T", "simulate-init-t-at-T", "atom-init-t-at-T",
-        "markov-init-t-at-T", "martingale-init-t-at-T"])
+        "markov-init-t-at-T", "martingale-init-t-at-T", "markov-time-off-grid",
+        "markov-time-past-T", "markov-time-too-late-for-lag"])
 def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks, flags, key):
     """Values of the right type that break a precondition of the library
     call are configuration errors (exit 2), not runtime errors (exit 3)."""

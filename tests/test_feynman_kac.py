@@ -99,8 +99,8 @@ def test_estimate_deterministic_and_worker_invariant():
 
 def test_query_time_before_horizon_required():
     prob = FKProblem(g_edge=_const_g(2, 0.0))
-    with pytest.raises(ValueError):
-        fk_estimate(prob, _c(), (1.0, 0.0, 1, 0.0), SimConfig(h=1e-2, T=1.0, seed=0))
+    with pytest.raises(ValueError, match="before the horizon"):
+        fk_estimate(prob, _c(), (1.0, 0.0, 1, 0.0), SimConfig(h=1e-2, T=1.0, n_paths=2, seed=0))
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -24,7 +24,7 @@ def _synthetic_path(xs, h=1.0):
     return SpiderPath(
         t0=0.0, h=h, x=xs, edge=np.ones(xs.size, dtype=np.int64),
         l=np.zeros(xs.size), contact=xs == 0.0, gauss=np.zeros(xs.size - 1),
-        policy="oracle", delta_shell=1e-9, sigma_bound=1e-6,
+        delta_shell=1e-9, sigma_bound=1e-6,
     )
 
 

@@ -182,6 +182,46 @@ def test_empty_batch():
     assert simulate_batch(c, init, cfg, workers=3).paths is None
 
 
+def test_stored_paths_join_across_blocks():
+    """Three blocks of stored paths join into the one-block paths, path by path."""
+    c = _c()
+    init = SpiderState(0.0, 0.2, 1, 0.0)
+    cfg = SimConfig(h=1e-2, T=0.2, seed=9)
+    one = run_paths(c, init, cfg, 0, 7, store=True).paths
+    joined = map_path_blocks(7, 3, lambda lo, hi: run_paths(c, init, cfg, lo, hi, store=True))
+    assert len(joined.paths) == len(one) == 7
+    for a, b in zip(one, joined.paths):
+        assert (a.t0, a.h) == (b.t0, b.h)
+        for name in ("x", "edge", "l", "contact", "gauss"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("t", [0.1, 0.15], ids=["at-T", "past-T"])
+@pytest.mark.parametrize("run", ["simulate_batch", "first_hit", "occupation_batch",
+                                 "strong_markov_test", "fk_estimate"])
+def test_run_from_the_horizon_on_is_rejected(run, t):
+    """Every ensemble refuses a start at or after cfg.T instead of returning
+    start states, censored paths or zeros."""
+    from spidersim.feynman_kac import FKProblem, fk_estimate
+    from spidersim.localtime import occupation_batch
+    from spidersim.verify import StoppingSpec, strong_markov_test
+
+    c = _c()
+    init = SpiderState(t, 0.2, 1, 0.0)
+    cfg = SimConfig(h=1e-2, T=0.1, n_paths=50, seed=3)
+    runs = {
+        "simulate_batch": lambda: simulate_batch(c, init, cfg),
+        "first_hit": lambda: first_hit(c, init, cfg, 0.5),
+        "occupation_batch": lambda: occupation_batch(c, init, cfg, 0.1),
+        "strong_markov_test": lambda: strong_markov_test(
+            c, StoppingSpec("hitting", level=0.5), "x", 0.02, 10, cfg, init),
+        "fk_estimate": lambda: fk_estimate(FKProblem(g_edge=(lambda x, l: 0.0 * x,) * 2), c,
+                                           (t, 0.2, 1, 0.0), cfg),
+    }
+    with pytest.raises(ValueError, match="before the horizon"):
+        runs[run]()
+
+
 def test_radial_alpha_invariance():
     # driftless, edge-independent sigma: the radial law must not feel alpha
     cfg_a = SimConfig(h=1e-3, T=0.5, n_paths=3000, seed=31)

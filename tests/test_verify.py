@@ -287,6 +287,35 @@ def test_strong_markov_flags_excessive_censoring():
     assert not rep.passed
 
 
+def test_strong_markov_vertex_after():
+    c = _c(b=-1.0)
+    cfg = SimConfig(h=1e-3, T=1.0, seed=66)
+    rep = strong_markov_test(c, StoppingSpec("vertex_after", time=0.1), "x",
+                             0.1, 1500, cfg, SpiderState(0.0, 0.3, 1, 0.0))
+    assert rep.details["censored_frac"] < 0.2
+    assert rep.passed, rep.estimates
+
+
+def test_strong_markov_fixed_time_is_a_grid_step():
+    """0.5 + h + h + ... drifts 1.4e-12 from 0.8 over 30000 steps of 1e-5;
+    the stop is step 30000 all the same, so no path is censored."""
+    cfg = SimConfig(h=1e-5, T=0.8001, seed=64)
+    rep = strong_markov_test(_c(), StoppingSpec("fixed_time", time=0.8), "x",
+                             1e-4, 4, cfg, SpiderState(0.5, 0.5, 1, 0.0))
+    assert rep.details["censored_frac"] == 0.0
+
+
+@pytest.mark.parametrize("time", [0.055, 0.3, 0.18, 0.05],
+                         ids=["off-grid", "past-T", "too-late-for-lag", "before-start"])
+@pytest.mark.parametrize("kind", ["fixed_time", "vertex_after"])
+def test_strong_markov_stopping_time_needs_a_grid_step_before_the_lag(kind, time):
+    # the grid is 0.1 + k*0.01 with K = 10 steps, lag 5 steps: 0.1 <= time <= 0.15
+    cfg = SimConfig(h=1e-2, T=0.2, seed=65)
+    with pytest.raises(ValueError, match="stopping time"):
+        strong_markov_test(_c(), StoppingSpec(kind, time=time), "x", 0.05, 10, cfg,
+                           SpiderState(0.1, 0.5, 1, 0.0))
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_strong_markov_needs_two_paths(n):
     cfg = SimConfig(h=1e-2, T=0.2, seed=63)
