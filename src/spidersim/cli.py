@@ -1,8 +1,10 @@
 """Command-line front end: JSON config in, CSV tables and JSON reports out.
 
 Exit codes: 0 success, 1 a verification check failed, 2 configuration or
-parse error, 3 runtime evaluation error.  Outputs are byte-stable for a
-fixed (config, seed); wall-clock metadata goes to a separate run_meta.json.
+parse error, also a value that breaks a precondition of the library call it
+feeds (the error names its config key), 3 an outcome of the run (runtime
+evaluation error, too few passages).  Outputs are byte-stable for a fixed
+(config, seed); wall-clock metadata goes to a separate run_meta.json.
 """
 
 from __future__ import annotations
@@ -12,15 +14,16 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from . import localtime, simulator, verify
+from . import localtime, verify
 from .coeffexpr import (CoeffExprError, ConfigError, EvalError, _compile, build_coefficient_set,
                         choice, edge_exprs, expression, num, num_list, require_keys)
 from .feynman_kac import FKProblem, fk_estimate, fk_vs_pde
-from .network import NetworkError, SamplingPlan, validate_coefficients
+from .network import NetworkError, SamplingPlan, constant_coefficients, validate_coefficients
 from .pde import PdeError, PdeGrid, PdeProblem, residual as pde_residual, solve as pde_solve
 from .simulator import SEED_LIMIT, SimConfig, SimulationError, SpiderState, simulate_batch
 
@@ -110,38 +113,42 @@ def _sources(block: dict, where: str, I: int):
             _edge_fns(block, "h", where, I, required=False), h0)
 
 
-def _steps(value: float, key: str, t0: float, h: float, grid: str) -> int:
-    """The k >= 0 with value = t0 + k h (simulator.grid_step); off that grid,
-    a config error on key that spells the grid out in config keys."""
-    k = simulator.grid_step(t0, h, value)
-    if k is None or k < 0:
-        raise ConfigError(f"{key} = {value!r} is off the grid {grid} ({t0!r} + k*{h!r}, k >= 0)")
-    return k
+@contextmanager
+def _keys(where: str, keys: dict | None = None):
+    """Around a runner's library calls: an error that names the arguments
+    whose values broke a precondition (network.named) becomes a ConfigError
+    naming their config keys.  An argument's key is keys[name] (name matched
+    up to its first "["), sim.X for cfg.X, init.X as it is, else where.X."""
+    try:
+        yield
+    except (ValueError, SimulationError, PdeError) as exc:
+        if not getattr(exc, "names", ()):
+            raise
+
+        def key(name):
+            head = name.partition("[")[0]
+            if keys and head in keys:
+                return keys[head] + name[len(head):]
+            scope, _, rest = name.partition(".")
+            return {"cfg": f"sim.{rest}", "init": name}.get(scope, f"{where}.{name}")
+
+        raise ConfigError(", ".join(map(key, exc.names)) + f": {exc}") from exc
 
 
-def _start(t: float, key: str, sim: SimConfig) -> float:
-    """t, the start time key of a run to sim.T: sim.T is on its grid, at
-    least one step after t."""
-    if _steps(sim.T, "sim.T", t, sim.h, f"{key} + k*sim.h") == 0:
-        raise ConfigError(f"{key} = {t!r} must be before sim.T = {sim.T!r}")
-    return t
+_FK_KEYS = {"g_edge": "fk.g", "h_edge": "fk.h", "h_bound": "fk.h_bound", "queries": "fk.queries"}
 
 
 def _grid(block: dict, where: str) -> PdeGrid:
-    where = f"{where}.grid"
-    grid_cfg = require_keys(block.get("grid"), {"M", "J", "P"}, where)
-    return PdeGrid(*(num(grid_cfg, k, where, lo=2, integer=True) for k in "MJP"))
+    grid_cfg = require_keys(block.get("grid"), {"M", "J", "P"}, f"{where}.grid")
+    return PdeGrid(*(num(grid_cfg, k, f"{where}.grid", integer=True) for k in "MJP"))
 
 
-def _fk_problem(cfg: dict, I: int, sim: SimConfig) -> tuple[FKProblem, list[tuple]]:
+def _fk_problem(cfg: dict, I: int) -> tuple[FKProblem, list[tuple]]:
     block = require_keys(cfg.get("fk"), {"g", "h", "h0", "h_bound", "queries"}, "fk")
     g_edge, h_edge, h0 = _sources(block, "fk", I)
     prob = FKProblem(g_edge=g_edge, h_edge=h_edge, h0=h0,
                      h_bound=num(block, "h_bound", "fk", default=10.0, lo=0.0))
-    queries = _queries(block, "fk", I)
-    for k, q in enumerate(queries):
-        _start(q[0], f"fk.queries[{k}][0]", sim)
-    return prob, queries
+    return prob, _queries(block, "fk", I)
 
 
 def _queries(block: dict, where: str, I: int) -> list[tuple]:
@@ -197,8 +204,8 @@ def _run_validate(cfg, c, sim, workers):
 
 def _run_simulate(cfg, c, sim, workers):
     init = _init_state(cfg, c.I)
-    _start(init.t, "init.t", sim)
-    res = simulate_batch(c, init, sim, workers=workers)
+    with _keys("init"):
+        res = simulate_batch(c, init, sim, workers=workers)
     rows = [[i, res.t[i], res.x[i], int(res.edge[i]), res.l[i]] for i in range(res.n)]
     summary = {
         "estimates": {"mean_x": float(res.x.mean()) if res.n else 0.0,
@@ -211,28 +218,24 @@ def _run_simulate(cfg, c, sim, workers):
 
 def _run_scatter(cfg, c, sim, workers):
     block = require_keys(cfg.get("scatter"), {"t", "ell", "delta", "n"}, "scatter")
-    rep = verify.scattering_distribution(
-        c, _start(num(block, "t", "scatter", default=0.0, lo=0.0), "scatter.t", sim),
-        num(block, "ell", "scatter", default=0.0, lo=0.0),
-        num(block, "delta", "scatter", lo=verify.MIN_DELTA_SHELLS * sim.delta_shell),
-        num(block, "n", "scatter", lo=verify.MIN_EXCURSIONS, integer=True),
-        sim, workers=workers)
-    freq = rep.estimates["freq"]
-    target = rep.estimates["target"]
-    stderr = rep.stderr["freq"]
-    ok = rep.details["per_edge_pass"]
-    rows = [[e + 1, freq[e], stderr[e], target[e], ok[e]] for e in range(c.I)]
+    with _keys("scatter", {"init.t": "scatter.t"}):
+        rep = verify.scattering_distribution(
+            c, num(block, "t", "scatter", default=0.0, lo=0.0),
+            num(block, "ell", "scatter", default=0.0, lo=0.0), num(block, "delta", "scatter"),
+            num(block, "n", "scatter", integer=True), sim, workers=workers)
+    rows = [list(r) for r in zip(range(1, c.I + 1), rep.estimates["freq"], rep.stderr["freq"],
+                                 rep.estimates["target"], rep.details["per_edge_pass"])]
     return ["edge", "freq", "stderr", "alpha_target", "pass"], rows, dict(block), rep.to_json()
 
 
 def _run_exitstats(cfg, c, sim, workers):
     block = require_keys(cfg.get("exitstats"), {"t", "ell", "deltas", "n"}, "exitstats")
-    rep = verify.mean_exit_stats(
-        c, _start(num(block, "t", "exitstats", default=0.0, lo=0.0), "exitstats.t", sim),
-        num(block, "ell", "exitstats", default=0.0, lo=0.0),
-        num_list(block, "deltas", "exitstats", lo=sim.delta_shell),  # first_hit's floor
-        num(block, "n", "exitstats", lo=2, integer=True),
-        sim, workers=workers)
+    with _keys("exitstats", {"init.t": "exitstats.t"}):
+        rep = verify.mean_exit_stats(
+            c, num(block, "t", "exitstats", default=0.0, lo=0.0),
+            num(block, "ell", "exitstats", default=0.0, lo=0.0),
+            num_list(block, "deltas", "exitstats"), num(block, "n", "exitstats", integer=True),
+            sim, workers=workers)
     rows = [[r["delta"], r["l_ratio"], r["l_ratio_stderr"], r["theta_ratio"],
              r["theta_ratio_stderr"], r["censored"]] for r in rep.estimates["rows"]]
     return (["delta", "l_ratio", "l_ratio_stderr", "theta_ratio", "theta_ratio_stderr",
@@ -243,34 +246,26 @@ def _run_atom(cfg, c, sim, workers):
     block = require_keys(cfg.get("atom"), {"deltas", "oracle"}, "atom")
     deltas = num_list(block, "deltas", "atom", lo=1e-12)
     init = _init_state(cfg, c.I)
-    _start(init.t, "init.t", sim)
-    if sim.n_paths < 1:
-        raise ConfigError("atom needs sim.n_paths >= 1")
-    res = simulate_batch(c, init, sim, workers=workers)
     oracle = None
     if choice(block, "oracle", "atom", (None, "half_normal"), None):
         span = sim.T - init.t
         oracle = lambda d: 2.0 * verify.normal_cdf(d / np.sqrt(span)) - 1.0
-    rep = verify.atom_test(res.x, deltas, oracle=oracle, seed=sim.seed)
-    phat = rep.estimates["p_hat"]
-    stderr = rep.stderr["p_hat"]
-    rows = [[d, phat[i], stderr[i], rep.details["slopes"][i]]
-            for i, d in enumerate(rep.details["deltas"])]
+    with _keys("atom", {"x_samples": "sim.n_paths"}):
+        res = simulate_batch(c, init, sim, workers=workers)
+        rep = verify.atom_test(res.x, deltas, oracle=oracle, seed=sim.seed)
+    rows = [list(r) for r in zip(rep.details["deltas"], rep.estimates["p_hat"],
+                                 rep.stderr["p_hat"], rep.details["slopes"])]
     return ["delta", "p_hat", "stderr", "slope"], rows, dict(block), rep.to_json()
 
 
 def _run_martingale(cfg, c, sim, workers):
     block = require_keys(cfg.get("martingale"), {"s", "s_prime"}, "martingale")
     init = _init_state(cfg, c.I)
-    _start(init.t, "init.t", sim)
-    s = num(block, "s", "martingale", default=init.t, lo=init.t, hi=sim.T)
-    s_prime = num(block, "s_prime", "martingale", default=sim.T, lo=s, hi=sim.T)
-    grid = "init.t + k*sim.h"
-    if _steps(s, "martingale.s", init.t, sim.h, grid) == _steps(
-            s_prime, "martingale.s_prime", init.t, sim.h, grid):
-        raise ConfigError("martingale.s_prime must be at least one sim.h step after martingale.s")
     battery = verify.make_battery(c.I)
-    rep = verify.martingale_residual(c, init, sim, battery, s, s_prime, workers=workers)
+    with _keys("martingale"):
+        rep = verify.martingale_residual(
+            c, init, sim, battery, num(block, "s", "martingale", default=init.t),
+            num(block, "s_prime", "martingale", default=sim.T), workers=workers)
     rows = [[q, rep.estimates["mean"][q], rep.stderr["mean"][q],
              rep.estimates["budget"][q], rep.details["per_function_pass"][q]]
             for q in range(len(battery))]
@@ -281,20 +276,10 @@ def _run_martingale(cfg, c, sim, workers):
 def _run_ito(cfg, c, sim, workers):
     block = require_keys(cfg.get("ito"), {"h_list", "n_paths"}, "ito")
     init = _init_state(cfg, c.I)
-    h_list = num_list(block, "h_list", "ito", lo=1e-12)
-    for j, h in enumerate(h_list):
-        key = f"ito.h_list[{j}]"
-        if verify.multiple_of(h, min(h_list)) is None:
-            raise ConfigError(f"{key} = {h!r} is not a whole multiple of min(ito.h_list) to 1e-12")
-        k = _steps(sim.T, "sim.T", init.t, h, f"init.t + k*{key}")
-    if len(h_list) < 2:
-        raise ConfigError("ito.h_list needs at least two step sizes to compare")
-    if k == 0:  # init.t is sim.T, so every grid has zero steps
-        raise ConfigError(f"init.t = {init.t!r} must be before sim.T = {sim.T!r}")
-    f = verify.make_battery(c.I)[0]
-    rep = verify.ito_convergence(
-        c, init, f, h_list, sim.T,
-        num(block, "n_paths", "ito", default=4, lo=1, integer=True), sim.seed)
+    with _keys("ito", {"T": "sim.T"}):
+        rep = verify.ito_convergence(
+            c, init, verify.make_battery(c.I)[0], num_list(block, "h_list", "ito", lo=1e-12),
+            sim.T, num(block, "n_paths", "ito", default=4, lo=1, integer=True), sim.seed)
     rows = [list(r) for r in zip(rep.estimates["h"], rep.estimates["mean_max_residual"])]
     return ["h", "mean_max_residual"], rows, dict(block), rep.to_json()
 
@@ -302,41 +287,36 @@ def _run_ito(cfg, c, sim, workers):
 def _run_markov(cfg, c, sim, workers):
     block = require_keys(cfg.get("markov"), {"spec", "functional", "lag", "n"}, "markov")
     spec_cfg = require_keys(block.get("spec"), {"kind", "level", "time"}, "markov.spec")
-    kind = choice(spec_cfg, "kind", "markov.spec", tuple(verify.STOPPING_RULES), "hitting")
-    need = verify.STOPPING_RULES[kind]  # read even when absent, so that it is required
-    spec = verify.StoppingSpec(kind=kind, **{
-        key: num(spec_cfg, key, "markov.spec", lo=0.0)
-        for key in ("level", "time") if key in spec_cfg or key == need})
     init = _init_state(cfg, c.I)
-    _start(init.t, "init.t", sim)
-    lag = num(block, "lag", "markov", lo=1e-12)
-    lag_steps = _steps(lag, "markov.lag", 0.0, sim.h, "k*sim.h")
-    if lag_steps < 1:
-        raise ConfigError("markov.lag must be at least one step of sim.h")
-    if need == "time" and _steps(spec.time, "markov.spec.time", init.t, sim.h,
-                                 "init.t + k*sim.h") + lag_steps > sim.n_steps(init.t):
-        raise ConfigError(f"markov.spec.time = {spec.time!r} must be at least markov.lag = "
-                          f"{lag!r} before sim.T = {sim.T!r}")
-    rep = verify.strong_markov_test(
-        c, spec, choice(block, "functional", "markov", ("x", "l"), "x"), lag,
-        num(block, "n", "markov", lo=2, integer=True),
-        sim, init, workers=workers)
+    with _keys("markov"):
+        spec = verify.StoppingSpec(
+            choice(spec_cfg, "kind", "markov.spec", tuple(verify.STOPPING_RULES), "hitting"),
+            **{key: num(spec_cfg, key, "markov.spec", lo=0.0)
+               for key in ("level", "time") if key in spec_cfg})
+        rep = verify.strong_markov_test(
+            c, spec, choice(block, "functional", "markov", ("x", "l"), "x"),
+            num(block, "lag", "markov", lo=1e-12), num(block, "n", "markov", integer=True),
+            sim, init, workers=workers)
     rows = [[rep.estimates["ks_distance"], rep.estimates["p_value"],
              rep.details["censored_frac"], rep.passed]]
     return ["ks_distance", "p_value", "censored_frac", "pass"], rows, dict(block), rep.to_json()
 
 
 def _run_localtime(cfg, c, sim, workers):
+    """Estimators on reflection-map oracle paths (driftless, unit diffusion,
+    ray 1, 0 to sim.T), scored with their own coefficients, not the network's."""
     block = require_keys(cfg.get("localtime"), {"eps_list", "n_paths"}, "localtime")
     eps_list = num_list(block, "eps_list", "localtime", lo=1e-12)
     n = num(block, "n_paths", "localtime", default=200, lo=1, integer=True)
-    _steps(sim.T, "sim.T", 0.0, sim.h, "k*sim.h")  # the oracle paths start at 0
+    unit = constant_coefficients(c.I)
     sums = {e: [0.0, 0.0] for e in eps_list}
     for pid in range(n):
-        path, l_exact = localtime.oracle_path(sim.seed, pid, sim.h, sim.T)
-        for e in eps_list:
-            dc = localtime.downcrossing_estimate(path, e, sim.T).value
-            oc = localtime.occupation_estimate(path, c, e, sim.T).value
+        with _keys("localtime", {"T": "sim.T"}):
+            path, l_exact = localtime.oracle_path(sim.seed, pid, sim.h, sim.T)
+        for j, e in enumerate(eps_list):
+            with _keys("localtime", {"eps": f"localtime.eps_list[{j}]"}):
+                dc = localtime.downcrossing_estimate(path, e, sim.T).value
+                oc = localtime.occupation_estimate(path, unit, e, sim.T).value
             sums[e][0] += abs(dc - l_exact[-1])
             sums[e][1] += abs(oc - l_exact[-1])
     rows = [[e, sums[e][0] / n, sums[e][1] / n] for e in sorted(eps_list, reverse=True)]
@@ -349,8 +329,9 @@ def _run_localtime(cfg, c, sim, workers):
 
 
 def _run_pde(cfg, c, sim, workers):
-    problem, grid = _pde_problem(cfg, c, sim)
-    sol = pde_solve(problem, grid)
+    with _keys("pde", {"g_edge": "pde.g"}):
+        problem, grid = _pde_problem(cfg, c, sim)
+        sol = pde_solve(problem, grid)
     res = pde_residual(sol)
     ok = res["interior_max"] <= 1e-8 and res["vertex_max"] <= 1e-8
     rows = [[k, v] for k, v in sorted(res.items())]
@@ -359,10 +340,11 @@ def _run_pde(cfg, c, sim, workers):
 
 
 def _run_fk(cfg, c, sim, workers):
-    prob, queries = _fk_problem(cfg, c.I, sim)
+    prob, queries = _fk_problem(cfg, c.I)
     rows = []
-    for q in queries:
-        est = fk_estimate(prob, c, q, sim, workers=workers)
+    for k, q in enumerate(queries):
+        with _keys("fk", {**_FK_KEYS, "init.t": f"fk.queries[{k}][0]"}):
+            est = fk_estimate(prob, c, q, sim, workers=workers)
         rows.append([q[0], q[1], q[2], q[3], est.mean, est.stderr, est.n_paths])
     return (["t", "x", "edge", "l", "mean", "stderr", "n_paths"], rows,
             {"queries": len(queries)},
@@ -371,13 +353,12 @@ def _run_fk(cfg, c, sim, workers):
 
 
 def _run_fk_compare(cfg, c, sim, workers):
-    prob, queries = _fk_problem(cfg, c.I, sim)
+    prob, queries = _fk_problem(cfg, c.I)
     block = require_keys(cfg.get("fk_compare"), {"R", "K", "grid"}, "fk_compare")
-    rows_out, _ = fk_vs_pde(
-        prob, c, queries, sim, _grid(block, "fk_compare"),
-        R=num(block, "R", "fk_compare", lo=1e-12),
-        K=num(block, "K", "fk_compare", lo=1e-12),
-        workers=workers)
+    with _keys("fk_compare", _FK_KEYS):
+        rows_out, _ = fk_vs_pde(prob, c, queries, sim, _grid(block, "fk_compare"),
+                                R=num(block, "R", "fk_compare", lo=1e-12),
+                                K=num(block, "K", "fk_compare", lo=1e-12), workers=workers)
     rows = [[r.query[0], r.query[1], r.query[2], r.query[3], r.mc_mean, r.mc_stderr,
              r.pde_value, r.diff, r.tolerance, r.passed] for r in rows_out]
     return (["t", "x", "edge", "l", "mc_mean", "mc_stderr", "pde_value", "abs_diff",

@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import CoefficientSet, per_ray, ray_partition
+from .network import CoefficientSet, named, per_ray, ray_partition
 from .pde import PdeGrid, PdeProblem, PdeSolution, solve
-from .simulator import SimConfig, SpiderState, map_path_blocks, run_paths
+from .simulator import SimConfig, SimulationError, SpiderState, map_path_blocks, run_paths
 
 __all__ = ["FKProblem", "FKEstimate", "FKComparisonRow", "fk_estimate", "fk_vs_pde"]
 
@@ -40,12 +40,13 @@ class FKProblem:
         """Vertex continuity of the payoff and the declared ceiling for the
         running costs, sampled."""
         if len(self.g_edge) != I:
-            raise ValueError("payoff needs one entry per ray")
+            raise named(ValueError("payoff needs one entry per ray"), "g_edge")
         ls = np.linspace(0.0, 3.0, 13)
         ref = np.asarray(self.g_edge[0](0.0, ls), dtype=float)
         for g in self.g_edge[1:]:
             if np.max(np.abs(np.asarray(g(0.0, ls), dtype=float) - ref)) > PAYOFF_CONTINUITY_TOL:
-                raise ValueError("terminal payoff is discontinuous at the vertex")
+                raise named(ValueError("terminal payoff is discontinuous at the vertex"),
+                            "g_edge")
         if self.h_edge is not None:
             ts = np.linspace(0.0, 1.0, 5)
             xs = np.linspace(0.0, 2.0, 5)
@@ -53,7 +54,8 @@ class FKProblem:
                 tt, xx, ll = np.meshgrid(ts, xs, ls[:5], indexing="ij")
                 vals = np.asarray(h(tt, xx, ll), dtype=float)
                 if np.max(np.abs(vals)) > self.h_bound:
-                    raise ValueError("running cost exceeds its declared bound")
+                    raise named(ValueError("running cost exceeds its declared bound"),
+                                "h_edge", "h_bound")
 
     def payoff(self, edge_arr: np.ndarray, x: np.ndarray, l: np.ndarray) -> np.ndarray:
         parts = ray_partition(len(self.g_edge), edge_arr)
@@ -117,7 +119,7 @@ def fk_estimate(prob: FKProblem, c: CoefficientSet, query, cfg: SimConfig,
     init = SpiderState(*query)
     prob.check(c.I)
     if cfg.n_paths < 2:
-        raise ValueError("need at least two paths for a standard error")
+        raise named(ValueError("need at least two paths for a standard error"), "cfg.n_paths")
     vals = map_path_blocks(cfg.n_paths, workers,
                            lambda lo, hi: _per_path_values(prob, c, init, cfg, lo, hi))
     mean = float(vals.mean())
@@ -135,24 +137,30 @@ def fk_vs_pde(prob: FKProblem, c: CoefficientSet, queries: Sequence[tuple],
     The per-query grid-error budget is the coarse-vs-fine solution gap at
     the query (first-order scheme, so the gap estimates the fine-grid
     error), inflated by RICHARDSON_FACTOR.  A row passes when
-    |MC - PDE| <= 3 stderr + budget.
+    |MC - PDE| <= 3 stderr + budget.  Every query and the grid's coarsening
+    are checked before the solves.
     """
-    for q in queries:
+    for k, q in enumerate(queries):
         if q[0] >= cfg.T or not 1 <= q[2] <= c.I:
-            raise ValueError(f"query {q} needs t < T = {cfg.T} and a ray in 1..{c.I}")
+            raise named(ValueError(f"query {q} needs t < T = {cfg.T} and a ray in 1..{c.I}"),
+                        f"queries[{k}]", "cfg.T")
         if q[1] > 0.9 * R or q[3] > 0.9 * K:
-            raise ValueError(f"query {q} too close to the truncation boundary")
+            raise named(ValueError(f"query {q} too close to the truncation boundary"),
+                        f"queries[{k}]", "R", "K")
+        try:
+            cfg.n_steps(q[0])
+        except (ValueError, SimulationError) as exc:  # the run's start is this query's t
+            raise named(exc, f"queries[{k}][0]", "cfg.T", "cfg.h")
+    coarse_grid = grid.coarsened()
     pde_prob = PdeProblem(coefficients=c, T=cfg.T, R=R, K=K, g_edge=prob.g_edge,
                           h_edge=prob.h_edge, h0=prob.h0, psi_edge=psi_edge,
                           direction="backward")
     fine = solve(pde_prob, grid)
-    coarse = solve(pde_prob, grid.coarsened())
+    coarse = solve(pde_prob, coarse_grid)
     rows = []
     for q in queries:
-        t_q, x_q, e_q, l_q = q
         est = fk_estimate(prob, c, q, cfg, workers=workers)
-        u_fine = fine.at(t_q, x_q, e_q, l_q)
-        u_coarse = coarse.at(t_q, x_q, e_q, l_q)
+        u_fine, u_coarse = fine.at(*q), coarse.at(*q)
         budget = RICHARDSON_FACTOR * abs(u_fine - u_coarse)
         diff = abs(est.mean - u_fine)
         # rounding floor so exactly-solvable problems do not fail on ulps

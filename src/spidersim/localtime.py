@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, TestFunction, per_ray, ray_partition
+from .network import CoefficientSet, TestFunction, named, per_ray, ray_partition
 from .simulator import SpiderPath, grid_step, map_path_blocks, run_paths
 
 __all__ = [
@@ -81,12 +81,6 @@ class LocalTimeEstimate:
             raise EstimationError("local-time estimate must be nonnegative")
 
 
-def _contact_indices(p: SpiderPath) -> np.ndarray:
-    flags = p.contact.copy()
-    flags |= p.x == 0.0
-    return np.flatnonzero(flags)
-
-
 def excursion_decompose(p: SpiderPath, eps: float) -> ExcursionDecomposition:
     """Grid decomposition of the path into eps-excursions from the vertex.
 
@@ -95,10 +89,10 @@ def excursion_decompose(p: SpiderPath, eps: float) -> ExcursionDecomposition:
     the reflection-map oracle).
     """
     if eps <= p.delta_activity:
-        raise EstimationError(
-            f"eps = {eps} must exceed the vertex-activity radius {p.delta_activity:.3g}")
+        raise named(EstimationError(
+            f"eps = {eps} must exceed the vertex-activity radius {p.delta_activity:.3g}"), "eps")
     above = np.flatnonzero(p.x >= eps)
-    contacts = _contact_indices(p)
+    contacts = np.flatnonzero(p.contact | (p.x == 0.0))
     thetas: list[int] = []
     taus: list[int] = []
     cur = 0
@@ -228,7 +222,7 @@ def skorokhod_oracle(gaussians: np.ndarray, h: float, T: float,
     g = np.asarray(gaussians, dtype=np.float64)
     K = grid_step(0.0, h, T)
     if K is None:
-        raise EstimationError("T must be a whole number of steps")
+        raise named(EstimationError("T must be a whole number of steps"), "T")
     if g.shape != (K,):
         raise EstimationError(f"need {K} increments, got {g.shape}")
     y = np.empty(K + 1)

@@ -28,6 +28,7 @@ __all__ = [
     "vertex_operator",
     "validate_coefficients",
     "constant_coefficients",
+    "named",
 ]
 
 CONTINUITY_TOL = 1e-12  # largest jump across the rays at the vertex a test function may have
@@ -35,6 +36,13 @@ CONTINUITY_TOL = 1e-12  # largest jump across the rays at the vertex a test func
 
 class NetworkError(ValueError):
     pass
+
+
+def named(exc: Exception, *names: str) -> Exception:
+    """exc, marked with the arguments of the public call whose values broke
+    the precondition it reports, as paths such as "init.t", "cfg.T" or "deltas[1]"."""
+    exc.names = names
+    return exc
 
 
 def ray_partition(n_rays: int, edge) -> list[np.ndarray]:

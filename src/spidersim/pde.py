@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .network import CoefficientSet, TestFunction, generator, vertex_operator
+from .network import CoefficientSet, TestFunction, generator, named, vertex_operator
 
 __all__ = [
     "PdeProblem",
@@ -143,7 +143,8 @@ class PdeGrid:
 
     def __post_init__(self):
         if min(self.M, self.J, self.P) < 2:
-            raise PdeError("need at least two cells per axis")
+            raise named(PdeError("need at least two cells per axis"),
+                        *(f"grid.{a}" for a in "MJP" if getattr(self, a) < 2))
 
     def axes(self, problem: PdeProblem):
         return (
@@ -154,7 +155,8 @@ class PdeGrid:
 
     def coarsened(self) -> "PdeGrid":
         if self.M % 2 or self.J % 2 or self.P % 2:
-            raise PdeError("grid not coarsenable")
+            raise named(PdeError("grid not coarsenable"),
+                        *(f"grid.{a}" for a in "MJP" if getattr(self, a) % 2))
         return PdeGrid(self.M // 2, self.J // 2, self.P // 2)
 
 
@@ -166,21 +168,22 @@ class PdeSolution:
     warnings: list[str] = field(default_factory=list)
 
     def at(self, t: float, x: float, edge: int, l: float) -> float:
-        """Trilinear interpolation on one ray."""
+        """Trilinear interpolation on one ray; a point outside the grid is an error."""
         if not 1 <= edge <= self.values.shape[0]:
             raise PdeError(f"ray label {edge} outside 1..{self.values.shape[0]}")
         tg, xg, lg = self.grid.axes(self.problem)
         u = self.values[edge - 1]
 
-        def locate(grid, v):
-            v = min(max(v, grid[0]), grid[-1])
+        def locate(grid, v, name):
+            if not grid[0] <= v <= grid[-1]:
+                raise PdeError(f"{name} = {v!r} is outside the grid [{grid[0]!r}, {grid[-1]!r}]")
             k = min(int(np.searchsorted(grid, v, side="right")) - 1, grid.size - 2)
             w = (v - grid[k]) / (grid[k + 1] - grid[k])
             return k, w
 
-        mi, wt = locate(tg, t)
-        ji, wx = locate(xg, x)
-        pi, wl = locate(lg, l)
+        mi, wt = locate(tg, t, "t")
+        ji, wx = locate(xg, x, "x")
+        pi, wl = locate(lg, l, "l")
         out = 0.0
         for dm, wm in ((0, 1 - wt), (1, wt)):
             for dj, wj in ((0, 1 - wx), (1, wx)):
@@ -238,7 +241,7 @@ def solve(problem: PdeProblem, grid: PdeGrid) -> PdeSolution:
         U[e - 1, m_data] = problem.data_slice(e, xg[:, None], lg)
     vert = U[:, m_data, 0, :]
     if np.any(vert.max(axis=0) - vert.min(axis=0) > 1e-9 * (1.0 + np.abs(vert[0]))):
-        raise PdeError("data slice is discontinuous at the vertex")
+        raise named(PdeError("data slice is discontinuous at the vertex"), "g_edge")
     # slices solved on each level: all of them, or all below the Dirichlet
     # slice l = K; without that data the top slice drops the dl term
     nP = P + 1

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, per_ray, ray_partition
+from .network import CoefficientSet, named, per_ray, ray_partition
 
 __all__ = [
     "SpiderState",
@@ -103,15 +103,16 @@ class SimConfig:
             raise SimulationError("seed must fit in 64 bits")
 
     def n_steps(self, t_start: float = 0.0) -> int:
-        """Steps of a run from t_start to T: the one rule for what a run
-        accepts.  t_start must be before T, and T on the grid t_start + k h."""
+        """Steps of a run from t_start (named init.t in errors) to T: the one
+        rule for what a run accepts.  t_start must be before T, and T on the grid t_start + k h."""
         k = grid_step(t_start, self.h, self.T)
         if t_start >= self.T or k == 0:
-            raise ValueError(
-                f"start time t = {t_start!r} must be before the horizon T = {self.T!r}")
+            raise named(ValueError(
+                f"start time t = {t_start!r} must be before the horizon T = {self.T!r}"),
+                "init.t", "cfg.T")
         if k is None:
-            raise SimulationError(
-                f"horizon {self.T} is not {t_start} plus a whole number of steps of size {self.h}")
+            raise named(SimulationError(f"horizon {self.T} is not {t_start} plus a whole number "
+                                        f"of steps of size {self.h}"), "init.t", "cfg.T", "cfg.h")
         return k
 
     def check_against(self, c: CoefficientSet):
@@ -120,9 +121,9 @@ class SimConfig:
         if self.policy == "shell":
             limit = self.delta_shell**2 / (10.0 * c.bounds.sigma_bound**2)
             if self.h > limit * (1 + 1e-12):
-                raise SimulationError(
+                raise named(SimulationError(
                     f"shell policy needs h <= delta_shell^2/(10 sigma_bound^2) = {limit:.3g}, "
-                    f"got h = {self.h:.3g}")
+                    f"got h = {self.h:.3g}"), "cfg.h", "cfg.delta_shell")
 
 
 @dataclass
@@ -430,6 +431,7 @@ def first_hit(c: CoefficientSet, init: SpiderState, cfg: SimConfig, level: float
               workers: int = 1) -> FirstHitResult:
     """First grid time with x >= level for each path, censored at T."""
     if level < cfg.delta_shell:
-        raise SimulationError("hitting level must be >= delta_shell")
+        raise named(SimulationError("hitting level must be >= delta_shell"),
+                    "level", "cfg.delta_shell")
     return map_path_blocks(cfg.n_paths, workers, lambda lo, hi: run_paths(
         c, init, cfg, lo, hi, stop_level=level))

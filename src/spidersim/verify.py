@@ -19,10 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .network import (CoefficientSet, TestFunction, TfTerm, generator, per_ray, ray_partition,
-                      vertex_operator)
+from .network import (CoefficientSet, TestFunction, TfTerm, generator, named, per_ray,
+                      ray_partition, vertex_operator)
 from .simulator import (
     SimConfig,
+    SimulationError,
     SpiderPath,
     SpiderState,
     first_hit,
@@ -42,7 +43,6 @@ __all__ = [
     "martingale_residual",
     "martingale_residual_paths",
     "ito_residual",
-    "multiple_of",
     "ito_convergence",
     "scattering_distribution",
     "mean_exit_stats",
@@ -56,8 +56,6 @@ __all__ = [
 # constant dominates calibrate_bias_constant on the driftless reflected
 # case (measured 1.0 and 2.0 across seeds at n = 6000, h in {4e-4, 1e-4})
 DEFAULT_BIAS_CONSTANT = 2.5
-MIN_EXCURSIONS = 10**4  # fewest first passages scattering_distribution accepts
-MIN_DELTA_SHELLS = 2.0  # scattering_distribution's level delta is at least this many delta_shell
 EXIT_L_RATIO_BAND = (0.9, 1.1)  # mean_exit_stats: E[l at exit]/delta at the smallest delta
 EXIT_THETA_BAND = (0.5, 2.0)    # mean_exit_stats: successive ratios of E[exit time]/delta^2
 
@@ -211,9 +209,10 @@ def _window_steps(t0: float, h: float, K: int, s: float, s_prime: float) -> tupl
     """Step indices of the window [s, s'] on the grid t0 + k h, 0 <= k <= K."""
     ks, ke = grid_step(t0, h, s), grid_step(t0, h, s_prime)
     if ks is None or ke is None:
-        raise ValueError("window endpoints must be grid times")
+        raise named(ValueError("window endpoints must be grid times"),
+                    *(name for name, k in (("s", ks), ("s_prime", ke)) if k is None))
     if not 0 <= ks < ke <= K:
-        raise ValueError("need init.t <= s < s' <= T")
+        raise named(ValueError("need init.t <= s < s' <= T"), "s", "s_prime")
     return ks, ke
 
 
@@ -231,7 +230,7 @@ def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
     single = isinstance(fs, TestFunction)
     f_list = [fs] if single else list(fs)
     if cfg.n_paths < 2:
-        raise ValueError("need at least two paths for a standard error")
+        raise named(ValueError("need at least two paths for a standard error"), "cfg.n_paths")
     bias_c = DEFAULT_BIAS_CONSTANT if bias_constant is None else bias_constant
     K = cfg.n_steps(init.t)
     ks, ke = _window_steps(init.t, cfg.h, K, s, s_prime)
@@ -331,26 +330,27 @@ def ito_residual(p: SpiderPath, c: CoefficientSet, f: TestFunction) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def multiple_of(h: float, h_fine: float) -> int | None:
-    """The whole m with h = m h_fine to within 1e-12 (ito_convergence's rule), or None."""
-    m = round(h / h_fine)
-    return m if abs(m * h_fine - h) <= 1e-12 else None
-
-
 def ito_convergence(c: CoefficientSet, init: SpiderState, f: TestFunction,
                     h_list: Sequence[float], T: float, n_paths: int,
                     seed: int) -> EstimatorReport:
     """Mean pathwise chain-rule residual across step sizes on matched
     Brownian skeletons (coarse increments aggregate the finest ones).  Every
     step size runs from init.t to T, so T must lie on each grid init.t + k h.
-    Needs at least two step sizes and init.t before T, so that there is a
-    trend to check."""
+    Needs init.t before T and at least two step sizes, each a whole multiple
+    of the finest to 1e-12, so that there is a trend to check."""
+    if init.t >= T:  # first: a start at or past T is at fault whatever h_list holds
+        raise named(ValueError(f"init.t = {init.t!r} must be before T = {T!r}"), "init.t", "T")
     if len(h_list) < 2:
-        raise ValueError("need at least two step sizes to compare")
-    if init.t >= T:  # n_steps rejects it too; this names init.t and the argument T
-        raise ValueError(f"init.t = {init.t!r} must be before T = {T!r}")
+        raise named(ValueError("need at least two step sizes to compare"), "h_list")
+    h_fine = min(h_list)
+    for j, h in enumerate(h_list):
+        if abs(round(h / h_fine) * h_fine - h) > 1e-12:
+            raise named(ValueError("every h must be a multiple of the finest h"), f"h_list[{j}]")
+        try:
+            SimConfig(h=h, T=T).n_steps(init.t)
+        except SimulationError as exc:  # T is off the grid init.t + k h
+            raise named(exc, f"h_list[{j}]", "T", "init.t")
     hs = sorted(h_list, reverse=True)
-    h_fine = hs[-1]
     k_fine = SimConfig(h=h_fine, T=T).n_steps(init.t)
     seed_g = _rng.derive_seed(seed, "matched-skeleton")
     steps = np.arange(k_fine, dtype=np.uint64)
@@ -359,9 +359,7 @@ def ito_convergence(c: CoefficientSet, init: SpiderState, f: TestFunction,
         g_fine[p] = _rng.gaussians(seed_g, np.full(k_fine, p, dtype=np.uint64), steps)
     means = []
     for h in hs:
-        m = multiple_of(h, h_fine)
-        if m is None:
-            raise ValueError("every h must be a multiple of the finest h")
+        m = round(h / h_fine)
         cfg = SimConfig(h=h, T=T, n_paths=n_paths, seed=seed)
         g_h = g_fine.reshape(n_paths, cfg.n_steps(init.t), m).sum(axis=2) / math.sqrt(m)
         res = run_paths(c, init, cfg, 0, n_paths, store=True, gaussians=g_h)
@@ -387,10 +385,10 @@ def scattering_distribution(c: CoefficientSet, t: float, ell: float, delta: floa
                             n: int, cfg: SimConfig, workers: int = 1) -> EstimatorReport:
     """Empirical law of the exit ray at the first passage of level delta,
     started at the junction with local-time level ell, against alpha(t, ell)."""
-    if delta < MIN_DELTA_SHELLS * cfg.delta_shell:
-        raise ValueError("need delta >= 2 delta_shell")
-    if n < MIN_EXCURSIONS:
-        raise ValueError("need at least 1e4 excursions")
+    if delta < 2.0 * cfg.delta_shell:
+        raise named(ValueError("need delta >= 2 delta_shell"), "delta", "cfg.delta_shell")
+    if n < 10**4:
+        raise named(ValueError("need at least 1e4 excursions"), "n")
     cfg_n = replace(cfg, n_paths=n)
     fh = first_hit(c, SpiderState(t, 0.0, 1, ell), cfg_n, delta, workers=workers)
     ok = ~fh.censored
@@ -421,7 +419,11 @@ def mean_exit_stats(c: CoefficientSet, t: float, ell: float, deltas: Sequence[fl
     inside EXIT_THETA_BAND.  Every level needs at least two first passages by cfg.T.
     """
     if n < 2:
-        raise ValueError("need at least two paths for a standard error")
+        raise named(ValueError("need at least two paths for a standard error"), "n")
+    for j, delta in enumerate(deltas):  # first_hit's floor, checked before any level runs
+        if delta < cfg.delta_shell:
+            raise named(SimulationError("hitting level must be >= delta_shell"),
+                        f"deltas[{j}]", "cfg.delta_shell")
     rows = []
     for delta in deltas:
         cfg_n = replace(cfg, n_paths=n)
@@ -480,7 +482,7 @@ def atom_test(x_samples: np.ndarray, deltas: Sequence[float],
     x = np.asarray(x_samples, dtype=float)
     n = x.size
     if n == 0:
-        raise ValueError("empty sample")
+        raise named(ValueError("empty sample"), "x_samples")
     ds = sorted((float(d) for d in deltas), reverse=True)
     phat = np.array([np.mean(x <= d) for d in ds])
     stderr = np.sqrt(np.maximum(phat * (1 - phat), 1e-12) / n)
@@ -532,10 +534,10 @@ class StoppingSpec:
 
     def __post_init__(self):
         if self.kind not in STOPPING_RULES:
-            raise ValueError(f"unknown stopping rule {self.kind!r}")
+            raise named(ValueError(f"unknown stopping rule {self.kind!r}"), "spec.kind")
         need = STOPPING_RULES[self.kind]
         if getattr(self, need) is None:
-            raise ValueError(f"{self.kind} rule needs a {need}")
+            raise named(ValueError(f"{self.kind} rule needs a {need}"), f"spec.{need}")
 
 
 def _functional(spec: str) -> Callable:
@@ -558,19 +560,20 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
     grid step (simulator.grid_step) at least lag before cfg.T.
     """
     if n < 2:
-        raise ValueError("need at least two paths for a two-sample test")
+        raise named(ValueError("need at least two paths for a two-sample test"), "n")
     fn = _functional(functional)
     K = cfg.n_steps(init.t)
     U = grid_step(0.0, cfg.h, lag)
     if U is None or U < 1:
-        raise ValueError("lag must be a positive whole number of steps")
+        raise named(ValueError("lag must be a positive whole number of steps"), "lag")
     k_time = None
     if STOPPING_RULES[spec.kind] == "time":
         k_time = grid_step(init.t, cfg.h, spec.time)
         if k_time is None or not 0 <= k_time <= K - U:
-            raise ValueError(f"stopping time {spec.time!r} must be on the grid init.t + k h, "
-                             f"k >= 0 (init.t = {init.t!r}, h = {cfg.h!r}), and at least "
-                             f"lag = {lag!r} before T = {cfg.T!r}")
+            raise named(ValueError(
+                f"stopping time {spec.time!r} must be on the grid init.t + k h, k >= 0 (init.t "
+                f"= {init.t!r}, h = {cfg.h!r}), and at least lag = {lag!r} before T = {cfg.T!r}"),
+                "spec.time")
     going_up = spec.kind == "hitting" and init.x < spec.level
     cfg_restart = replace(cfg, seed=_rng.derive_seed(cfg.seed, "markov-restart"))
 

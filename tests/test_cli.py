@@ -299,7 +299,7 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
     ("ito", {"sim": {"h": 1e-4, "T": 3e-4}, "ito": {"h_list": [1e-4, 3e-5]}}, [],
      "ito.h_list[0]"),
     ("ito", {"sim": {"h": 1e-4, "T": 1e-3}, "init": {"t": 0.5}, "ito": {"h_list": [1e-4]}},
-     [], "ito.h_list[0]"),
+     [], "init.t"),
     ("fk", {"fk": {"g": ["0", "0"], "queries": [[0.25, 0.4, 1, 0.1]]}}, [],
      "fk.queries[0][0]"),
     ("exitstats", {"exitstats": {"deltas": [0.04], "n": 1}}, [], "exitstats.n"),
@@ -318,6 +318,19 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
                            "n": 100}}, [], "markov.spec.time"),
     ("markov", {"markov": {"spec": {"kind": "vertex_after", "time": 0.24}, "lag": 0.02,
                            "n": 100}}, [], "markov.spec.time"),
+    ("fk-compare", {"fk": {"g": ["0", "0"], "queries": [[0.0, 1.9, 1, 0.1]]}}, [],
+     "fk.queries[0]"),
+    ("fk-compare", {"fk_compare": {"R": 2.0, "K": 1.0, "grid": {"M": 7, "J": 8, "P": 4}}}, [],
+     "fk_compare.grid"),
+    ("localtime", {"localtime": {"eps_list": [0.01], "n_paths": 2}}, [],
+     "localtime.eps_list[0]"),
+    ("simulate", {"sim": {"h": 1e-3, "T": 0.25, "n_paths": 20, "policy": "shell"}}, [],
+     "sim.h"),
+    ("fk", {"fk": {"g": ["0", "1"], "queries": [[0.0, 0.4, 1, 0.1]]}}, [], "fk.g"),
+    ("pde", {"pde": {"R": 2.0, "K": 1.0, "grid": {"M": 6, "J": 8, "P": 4}, "g": ["0", "1"]}},
+     [], "pde.g"),
+    ("fk", {"fk": {"g": ["0", "0"], "h": ["20", "20"], "queries": [[0.0, 0.4, 1, 0.1]]}}, [],
+     "fk.h"),
 ], ids=["hitting-without-level", "scatter-below-min-excursions", "s-past-horizon",
         "negative-seed-flag", "scatter-delta-below-two-shells", "exit-delta-below-shell",
         "empty-window", "s-off-grid", "s_prime-off-grid", "lag-off-grid",
@@ -330,7 +343,9 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
         "exitstats-one-path", "atom-no-paths", "ito-one-step-size", "ito-init-t-at-T",
         "scatter-t-at-T", "exitstats-t-at-T", "simulate-init-t-at-T", "atom-init-t-at-T",
         "markov-init-t-at-T", "martingale-init-t-at-T", "markov-time-off-grid",
-        "markov-time-past-T", "markov-time-too-late-for-lag"])
+        "markov-time-past-T", "markov-time-too-late-for-lag", "fk-compare-query-near-R",
+        "fk-compare-grid-odd", "localtime-eps-inside-activity-radius", "shell-h-too-large",
+        "fk-g-discontinuous", "pde-g-discontinuous", "fk-h-above-bound"])
 def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks, flags, key):
     """Values of the right type that break a precondition of the library
     call are configuration errors (exit 2), not runtime errors (exit 3)."""
@@ -340,6 +355,20 @@ def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks
     err = capsys.readouterr().err
     assert code == 2, err
     assert key in err
+
+
+def test_localtime_scores_the_oracle_paths_with_their_own_coefficients(tmp_path):
+    """The oracle paths are driftless with unit diffusion whatever the
+    network says, so the network's sigma must not weight the occupation
+    estimator of those paths."""
+    cfg = _all_blocks_config()
+    cfg["network"]["sigma"] = ["2", "2"]
+    cfg["network"]["bounds"]["sigma_bound"] = 2.0
+    cfg["localtime"] = {"eps_list": [0.2, 0.1], "n_paths": 20}
+    out = tmp_path / "out"
+    assert main(["localtime", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "localtime.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2 and all(float(r[2]) < 0.2 for r in rows)
 
 
 @pytest.mark.filterwarnings("error")  # numpy's empty-mean RuntimeWarnings fail the test

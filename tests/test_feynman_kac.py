@@ -152,6 +152,23 @@ def test_fk_vs_pde_checks_every_query_before_solving(monkeypatch):
     assert solves == []
 
 
+@pytest.mark.parametrize("query, grid, names", [
+    ((0.005, 0.5, 1, 0.0), PdeGrid(8, 8, 4), ("queries[1][0]", "cfg.T", "cfg.h")),
+    ((0.0, 0.5, 2, 0.0), PdeGrid(7, 8, 4), ("grid.M",)),
+], ids=["query-time-off-grid", "grid-not-coarsenable"])
+def test_fk_vs_pde_checks_time_grid_and_coarsening_before_solving(monkeypatch, query, grid,
+                                                                   names):
+    solves = []
+    solve = feynman_kac.solve
+    monkeypatch.setattr(feynman_kac, "solve", lambda *a: solves.append(a) or solve(*a))
+    cfg = SimConfig(h=1e-2, T=0.5, n_paths=10, seed=0)
+    with pytest.raises((ValueError, RuntimeError)) as exc:
+        fk_vs_pde(FKProblem(g_edge=_const_g(2, 0.0)), _c(), [(0.0, 0.5, 1, 0.0), query], cfg,
+                  grid, R=3.0, K=2.0)
+    assert exc.value.names == names
+    assert solves == []
+
+
 @pytest.mark.parametrize("bad", [(0.0, 0.5, 3, 0.0), (0.0, 0.5, 0, 0.0), (0.5, 0.5, 1, 0.0)],
                          ids=["ray-above-I", "ray-zero", "t-at-horizon"])
 def test_fk_vs_pde_rejects_ray_and_time_before_solving(monkeypatch, bad):

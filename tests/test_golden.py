@@ -373,8 +373,8 @@ CLI = {
         "simulate.csv": "43348f67c80b8a872b4de4df528bb8c1a60d47953e7a726d3abb7dc7b4c046ad",
         "simulate.json": "cb3ae1322471c0a833c1e11749301d537ab4d5f1dd3cac6a22b7a6be14d546d2"}),
     "localtime": (0, {
-        "localtime.csv": "0a3c0e85fd2761ce4082932384f5a2b6b38f52f817eeb9c7004c89a599765834",
-        "localtime.json": "3d669a840e73e27007ea50d880c0e3454779ec492ffcd8ec9c7c8f8751b543ef"}),
+        "localtime.csv": "272af0414829b239c37ad68911c233f4ab79cceb02dbc9c65e2fc77fd2476995",
+        "localtime.json": "99ec02e5808ce7955ef99520a022a159f90b888dd0c22f9ff35cfd4a1e8727f3"}),
     "scatter": (1, {
         "scatter.csv": "3238fddd30a3b65d515ebca983d5f8940d97959c99a7dac61a5bd2b0638a7702",
         "scatter.json": "583f81c35b3438a57d07b8481642598ea9c49856aa6d69b15d24126c2f032ce0"}),

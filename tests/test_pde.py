@@ -72,6 +72,20 @@ def test_at_rejects_ray_labels_outside_the_star():
             sol.at(0.1, 0.5, edge, 0.2)
 
 
+@pytest.mark.parametrize("point, coordinate", [
+    ((0.5, 5.0, 1, 0.5), "x"), ((-3.0, 0.5, 1, 0.5), "t"), ((0.5, 0.5, 1, 9.0), "l"),
+    ((1.0 + 1e-9, 0.5, 1, 0.5), "t"), ((0.5, -1e-12, 1, 0.5), "x")],
+    ids=["x-past-R", "t-before-0", "l-past-K", "t-past-T", "x-below-0"])
+def test_at_rejects_points_outside_the_grid(point, coordinate):
+    """at() interpolates on [0, T] x [0, R] x [0, K] and clamps nothing."""
+    prob = PdeProblem(coefficients=_const_c(), T=1.0, R=2.0, K=2.0,
+                      g_edge=tuple(lambda x, l: np.asarray(x) + np.asarray(l) for _ in range(2)))
+    sol = solve(prob, PdeGrid(8, 8, 4))
+    assert sol.at(1.0, 2.0, 1, 2.0) == pytest.approx(4.0)  # the far corner is in the grid
+    with pytest.raises(PdeError, match=f"{coordinate} = "):
+        sol.at(*point)
+
+
 @pytest.mark.parametrize("direction", ["backward", "forward"])
 def test_scalar_and_partial_callables_match_full_arrays(direction):
     # callables may return Python scalars or ignore an argument; the solver

@@ -419,10 +419,8 @@ def test_on_step_gets_the_steps_ray_partition(family):
     (0.0, 1e-3, 0.0105, None), (0.0, 1e-5, 1e-3, 100), (5e-6, 1e-5, 1e-3, None),
 ])
 def test_grid_rule_is_decided_once(t0, h, t, k):
-    """SimConfig.n_steps, the local-time grid index and oracle, the martingale
-    window and the CLI reader all accept t on the grid t0 + k h, or all reject it."""
-    from spidersim.cli import _steps
-    from spidersim.coeffexpr import ConfigError
+    """SimConfig.n_steps, the local-time grid index and oracle and the
+    martingale window all accept t on the grid t0 + k h, or all reject it."""
     from spidersim.localtime import EstimationError, grid_index, skorokhod_oracle
     from spidersim.simulator import grid_step
     from spidersim.verify import _window_steps
@@ -436,7 +434,6 @@ def test_grid_rule_is_decided_once(t0, h, t, k):
         "n_steps": (lambda: SimConfig(h=h, T=t).n_steps(t0), SimulationError),
         "grid_index": (lambda: grid_index(path, t), EstimationError),
         "window": (lambda: _window_steps(t0, h, n + 1, t0, t)[1], ValueError),
-        "cli": (lambda: _steps(t, "sim.T", t0, h, "init.t + k*sim.h"), ConfigError),
     }
     if t0 == 0.0:
         readers["skorokhod_oracle"] = (lambda: skorokhod_oracle(np.zeros(n), h, t)[0].K,

@@ -82,6 +82,22 @@ def test_ito_convergence_rejects_a_step_whose_grid_misses_T():
                         [3e-4, 1e-4], T=1e-3, n_paths=3, seed=5)
 
 
+@pytest.mark.parametrize("run, names", [
+    (lambda: mean_exit_stats(_c(), 0.0, 0.0, [0.04, 5e-4], 100, SimConfig(h=1e-4, T=0.01)),
+     ("deltas[1]", "cfg.delta_shell")),
+    (lambda: ito_convergence(_c(), SpiderState(0.0, 0.1, 1, 0.0), make_battery(2)[0],
+                             [4e-4, 2.5e-4, 5e-5], T=1.2e-3, n_paths=3, seed=5),
+     ("h_list[1]", "T", "init.t")),
+], ids=["exit-level-below-shell", "ito-grid-misses-T"])
+def test_bad_level_or_step_size_fails_before_any_run(monkeypatch, run, names):
+    """The second entry is at fault; the first would run if it were checked late."""
+    calls = _spy_run_batch(monkeypatch)
+    with pytest.raises((ValueError, SimulationError)) as exc:
+        run()
+    assert exc.value.names == names
+    assert calls == []
+
+
 @pytest.mark.parametrize("h_list, t0, match", [
     ([1e-4], 0.0, "two step sizes"), ([2e-4, 1e-4], 1e-3, "before T")],
     ids=["one-step-size", "init-t-at-T"])
