@@ -307,6 +307,9 @@ def _run_localtime(cfg, c, sim, workers):
     ray 1, 0 to sim.T), scored with their own coefficients, not the network's."""
     block = require_keys(cfg.get("localtime"), {"eps_list", "n_paths"}, "localtime")
     eps_list = num_list(block, "eps_list", "localtime", lo=1e-12)
+    for j, e in enumerate(eps_list):
+        if e in eps_list[:j]:  # the sums are keyed by eps
+            raise ConfigError(f"localtime.eps_list[{j}] repeats eps = {e!r}")
     n = num(block, "n_paths", "localtime", default=200, lo=1, integer=True)
     unit = constant_coefficients(c.I)
     sums = {e: [0.0, 0.0] for e in eps_list}

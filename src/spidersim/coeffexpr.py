@@ -15,6 +15,10 @@ sqrt of a negative and non-finite results raise EvalError with a diagnostic.
 
 from __future__ import annotations
 
+import math
+import operator
+import re
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -97,6 +101,16 @@ class Call(Expr):
     args: tuple[Expr, ...]
 
 
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, Neg):
+        return (node.operand,)
+    return (node.left, node.right) if isinstance(node, BinOp) else getattr(node, "args", ())
+
+
+def _name(node: Expr) -> str:
+    return "neg" if isinstance(node, Neg) else getattr(node, "op", getattr(node, "name", ""))
+
+
 # -- tokenizer --------------------------------------------------------------
 
 
@@ -107,7 +121,8 @@ class _Token:
     offset: int
 
 
-_DIGITS = set("0123456789")
+_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", **dict.fromkeys("+-*/^", "OP")}
 
 
 def _tokenize(source: str) -> Iterator[_Token]:
@@ -118,24 +133,10 @@ def _tokenize(source: str) -> Iterator[_Token]:
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k] in _DIGITS:
-                    j = k
-                    while j < n and source[j] in _DIGITS:
-                        j += 1
-            yield _Token("NUMBER", source[i:j], i)
-            i = j
+        number = _NUMBER.match(source, i)
+        if number:
+            yield _Token("NUMBER", number.group(), i)
+            i = number.end()
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -144,20 +145,8 @@ def _tokenize(source: str) -> Iterator[_Token]:
             yield _Token("IDENT", source[i:j], i)
             i = j
             continue
-        if ch in "+-*/^":
-            yield _Token("OP", ch, i)
-            i += 1
-            continue
-        if ch == "(":
-            yield _Token("LPAREN", ch, i)
-            i += 1
-            continue
-        if ch == ")":
-            yield _Token("RPAREN", ch, i)
-            i += 1
-            continue
-        if ch == ",":
-            yield _Token("COMMA", ch, i)
+        if ch in _PUNCT:
+            yield _Token(_PUNCT[ch], ch, i)
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
@@ -267,14 +256,8 @@ _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 
 def _level(node: Expr) -> int:
-    if isinstance(node, (Num, Var, Call)):
-        return _LEVEL_ATOM
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    if isinstance(node, BinOp):
-        return {"+": _LEVEL_ADD, "-": _LEVEL_ADD,
-                "*": _LEVEL_MUL, "/": _LEVEL_MUL, "^": _LEVEL_POW}[node.op]
-    raise TypeError(node)
+    return {"+": _LEVEL_ADD, "-": _LEVEL_ADD, "*": _LEVEL_MUL, "/": _LEVEL_MUL,
+            "neg": _LEVEL_UNARY, "^": _LEVEL_POW}.get(_name(node), _LEVEL_ATOM)
 
 
 def _wrap(node: Expr, needs_parens: bool) -> str:
@@ -313,87 +296,112 @@ def pretty(node: Expr) -> str:
 # -- evaluation --------------------------------------------------------------
 
 
+def _names(node: Expr) -> set[str]:
+    """The variables, operators and functions node uses."""
+    return {_name(node)}.union(*map(_names, _children(node)))
+
+
 def variables(node: Expr) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return variables(node.operand)
-    if isinstance(node, BinOp):
-        return variables(node.left) | variables(node.right)
-    if isinstance(node, Call):
-        out: set[str] = set()
-        for a in node.args:
-            out |= variables(a)
-        return out
-    return set()
+    return _names(node) & set(_VARIABLES)
 
 
-def _check_finite(val, what: str):
-    if not np.all(np.isfinite(val)):
-        raise EvalError(f"non-finite result in {what}")
+_VARS = {"t": lambda t, x, l: t, "x": lambda t, x, l: x, "l": lambda t, x, l: l}
+# node -> (numpy function, the name in its non-finite-result error, or None: unchecked)
+_OPS = {"+": (operator.add, "addition"), "-": (operator.sub, "subtraction"),
+        "*": (operator.mul, "multiplication"), "/": (operator.truediv, "division"),
+        "^": (np.power, "power"), "neg": (operator.neg, None), "sqrt": (np.sqrt, None),
+        **{f: (getattr(np, f), f) for f in ("sin", "cos", "exp", "tanh")},
+        "abs": (np.abs, None), "min": (np.minimum, None), "max": (np.maximum, None),
+        "clamp": (lambda a, lo, hi: np.minimum(np.maximum(a, lo), hi), None)}
+_SILENCED = {"^": {"invalid": "ignore", "over": "ignore"},  # numpy warnings a node silences
+             **{f: {"over": "ignore"} for f in ("sin", "cos", "exp", "tanh")}}
+_HIDES = {"/", "^", "exp", "tanh", "min", "max", "clamp"}  # finite on a non-finite operand
+_NOISY = {"/", "^", "exp", "sqrt"}  # numpy warns where a strict node raises or is silent
+_NO_ERRSTATE = nullcontext()
+
+
+class _Anomaly(ValueError):
+    """A fast-path value that the strict closure must check node by node."""
+
+
+def _finite(val):
+    # a sum is non-finite whenever an entry is (and, rarely, by overflow: a false alarm)
+    if not math.isfinite(val.sum()):
+        raise _Anomaly
     return val
 
 
-def _eval(node: Expr, env: dict[str, np.ndarray]):
+def _build(node: Expr, strict: bool):
+    """node compiled into nested closures of (t, x, l).  Strict closures check
+    every node, in post-order: a zero divisor, a negative sqrt argument, a
+    non-finite result.  Fast ones check only the operands a node in _HIDES
+    could turn finite (raising _Anomaly); evaluate checks the root."""
     if isinstance(node, Num):
-        return np.float64(node.value)
+        v = np.float64(node.value)
+        return lambda t, x, l: v
     if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, env)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return _check_finite(a + b, "addition")
-        if node.op == "-":
-            return _check_finite(a - b, "subtraction")
-        if node.op == "*":
-            return _check_finite(a * b, "multiplication")
-        if node.op == "/":
-            if np.any(b == 0):
+        return _VARS[node.name]
+    name, args = _name(node), _children(node)
+    fn, what = _OPS[name]
+    fs = [_build(a, strict) for a in args]
+    if strict:
+        op, quiet = fn, _SILENCED.get(name, {})
+
+        def fn(*a):
+            if name == "/" and np.any(a[1] == 0):
                 raise EvalError("division by zero")
-            return _check_finite(a / b, "division")
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = np.power(a, b)
-        return _check_finite(out, "power")
-    if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
-        if node.name == "sqrt":
-            if np.any(args[0] < 0):
+            if name == "sqrt" and np.any(a[0] < 0):
                 raise EvalError("sqrt of negative value")
-            return np.sqrt(args[0])
-        if node.name == "abs":
-            return np.abs(args[0])
-        if node.name == "min":
-            return np.minimum(args[0], args[1])
-        if node.name == "max":
-            return np.maximum(args[0], args[1])
-        if node.name == "clamp":
-            return np.minimum(np.maximum(args[0], args[1]), args[2])
-        with np.errstate(over="ignore"):
-            out = getattr(np, node.name)(args[0])
-        return _check_finite(out, node.name)
-    raise TypeError(node)
+            with np.errstate(**quiet):
+                out = op(*a)
+            if what is not None and not np.all(np.isfinite(out)):
+                raise EvalError(f"non-finite result in {what}")
+            return out
+    elif name in _HIDES:
+        fs = [f if isinstance(a, (Num, Var)) else (lambda t, x, l, f=f: _finite(f(t, x, l)))
+              for a, f in zip(args, fs)]
+    if len(fs) == 1:
+        f, = fs
+        return lambda t, x, l: fn(f(t, x, l))
+    if len(fs) == 2:
+        f, g = fs
+        return lambda t, x, l: fn(f(t, x, l), g(t, x, l))
+    return lambda t, x, l: fn(*[f(t, x, l) for f in fs])
 
 
 def evaluate(node: Expr, t=0.0, x=0.0, l=0.0):
-    """Evaluate with bindings for t, x, l (scalars or broadcastable arrays)."""
-    env = {
-        "t": np.asarray(t, dtype=np.float64),
-        "x": np.asarray(x, dtype=np.float64),
-        "l": np.asarray(l, dtype=np.float64),
-    }
-    out = _eval(node, env)
-    shape = np.broadcast_shapes(env["t"].shape, env["x"].shape, env["l"].shape)
-    return np.broadcast_to(np.asarray(out, dtype=np.float64), shape).copy() if shape else float(out)
+    """Evaluate with bindings for t, x, l (scalars or broadcastable arrays).
+    Runs the node's fast closure, compiled on first use and kept on the node
+    (with numpy warnings off when it has a _NOISY node); a non-finite value
+    or a broadcast error there re-runs the strict closure, which raises the
+    error of the first failing node."""
+    t = np.asarray(t, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    l = np.asarray(l, dtype=np.float64)
+    fast = node.__dict__.get("_fast")
+    if fast is None:
+        fast = _build(node, strict=False), bool(_names(node) & _NOISY)
+        object.__setattr__(node, "_fast", fast)
+    try:
+        with np.errstate(all="ignore") if fast[1] else _NO_ERRSTATE:
+            out = _finite(fast[0](t, x, l))
+    except ValueError:
+        out = _build(node, strict=True)(t, x, l)
+    shape = t.shape if t.shape == x.shape == l.shape else np.broadcast_shapes(t.shape, x.shape, l.shape)
+    if not shape:
+        return float(out)
+    if out.shape == shape and out is not t and out is not x and out is not l:
+        return out  # a fresh array: an input is returned only as a copy
+    return np.full(shape, out, np.float64)
 
 
 def _compile(node: Expr, names: tuple[str, ...] = _VARIABLES):
     """Callable of the variables ``names``, in that order; the others are 0.0.
     Calls ``evaluate`` through the module global, where wrappers see it."""
+    pick = operator.itemgetter(*(names.index(v) if v in names else len(names) for v in _VARIABLES))
+
     def fn(*args):
-        return evaluate(node, **dict(zip(names, args)))
+        return evaluate(node, *pick(args + (0.0,)))
     return fn
 
 

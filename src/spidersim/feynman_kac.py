@@ -36,9 +36,10 @@ class FKProblem:
     h0: Callable | None = None
     h_bound: float = 10.0
 
-    def check(self, I: int) -> None:
+    def check(self, I: int, t0: float, T: float) -> None:
         """Vertex continuity of the payoff and the declared ceiling for the
-        running costs, sampled."""
+        running costs, sampled over the run's times [t0, T] (x and l on a
+        fixed box)."""
         if len(self.g_edge) != I:
             raise named(ValueError("payoff needs one entry per ray"), "g_edge")
         ls = np.linspace(0.0, 3.0, 13)
@@ -48,7 +49,7 @@ class FKProblem:
                 raise named(ValueError("terminal payoff is discontinuous at the vertex"),
                             "g_edge")
         if self.h_edge is not None:
-            ts = np.linspace(0.0, 1.0, 5)
+            ts = np.linspace(t0, T, 5)
             xs = np.linspace(0.0, 2.0, 5)
             for h in self.h_edge:
                 tt, xx, ll = np.meshgrid(ts, xs, ls[:5], indexing="ij")
@@ -106,7 +107,7 @@ def _per_path_values(prob: FKProblem, c: CoefficientSet, init: SpiderState, cfg:
         if prob.h0 is not None:
             hit = dl > 0
             if hit.any():
-                acc_step = acc_step + np.where(hit, prob.vertex_cost(t, l) * dl, 0.0)
+                acc_step[hit] += prob.vertex_cost(t[hit], l[hit]) * dl[hit]
         np.add(acc, acc_step, out=acc)
 
     res = run_paths(c, init, cfg, lo, hi, on_step=on_step)
@@ -117,7 +118,7 @@ def fk_estimate(prob: FKProblem, c: CoefficientSet, query, cfg: SimConfig,
                 workers: int = 1) -> FKEstimate:
     """Monte Carlo value of the representation at query = (t, x, edge, l)."""
     init = SpiderState(*query)
-    prob.check(c.I)
+    prob.check(c.I, init.t, cfg.T)
     if cfg.n_paths < 2:
         raise named(ValueError("need at least two paths for a standard error"), "cfg.n_paths")
     vals = map_path_blocks(cfg.n_paths, workers,

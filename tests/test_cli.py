@@ -331,6 +331,11 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
      [], "pde.g"),
     ("fk", {"fk": {"g": ["0", "0"], "h": ["20", "20"], "queries": [[0.0, 0.4, 1, 0.1]]}}, [],
      "fk.h"),
+    ("fk", {"sim": {"h": 1e-3, "T": 2.0, "n_paths": 20, "seed": 7},
+            "fk": {"g": ["0", "0"], "h": ["8*t", "8*t"], "queries": [[0.0, 0.4, 1, 0.1]]}}, [],
+     "fk.h"),
+    ("localtime", {"localtime": {"eps_list": [0.2, 0.1, 0.2], "n_paths": 2}}, [],
+     "localtime.eps_list[2]"),
 ], ids=["hitting-without-level", "scatter-below-min-excursions", "s-past-horizon",
         "negative-seed-flag", "scatter-delta-below-two-shells", "exit-delta-below-shell",
         "empty-window", "s-off-grid", "s_prime-off-grid", "lag-off-grid",
@@ -345,7 +350,8 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
         "markov-init-t-at-T", "martingale-init-t-at-T", "markov-time-off-grid",
         "markov-time-past-T", "markov-time-too-late-for-lag", "fk-compare-query-near-R",
         "fk-compare-grid-odd", "localtime-eps-inside-activity-radius", "shell-h-too-large",
-        "fk-g-discontinuous", "pde-g-discontinuous", "fk-h-above-bound"])
+        "fk-g-discontinuous", "pde-g-discontinuous", "fk-h-above-bound",
+        "fk-h-above-bound-after-t-1", "localtime-eps-repeated"])
 def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks, flags, key):
     """Values of the right type that break a precondition of the library
     call are configuration errors (exit 2), not runtime errors (exit 3)."""
@@ -369,6 +375,13 @@ def test_localtime_scores_the_oracle_paths_with_their_own_coefficients(tmp_path)
     assert main(["localtime", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
     rows = [line.split(",") for line in (out / "localtime.csv").read_text().splitlines()[1:]]
     assert len(rows) == 2 and all(float(r[2]) < 0.2 for r in rows)
+
+
+def test_running_cost_bound_is_sampled_over_the_run_times(tmp_path):
+    """30*t exceeds h_bound = 10 only after t = 1/3, beyond sim.T = 0.25."""
+    cfg = _all_blocks_config()
+    cfg["fk"]["h"] = ["30*t", "30*t"]
+    assert main(["fk", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.filterwarnings("error")  # numpy's empty-mean RuntimeWarnings fail the test

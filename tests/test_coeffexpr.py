@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -206,3 +207,135 @@ def test_clause_a_failure_names_what_failed(weights, match):
     cfg = {"I": 2, "b": "0", "sigma": "1", "alpha": weights, "bounds": {"a_lower": 0.1}}
     with pytest.raises(ConfigError, match=match):
         build_coefficient_set(cfg)
+
+
+# -- the compiled evaluator against the reference tree walk ---------------------
+
+
+def _reference_check_finite(val, what):
+    if not np.all(np.isfinite(val)):
+        raise EvalError(f"non-finite result in {what}")
+    return val
+
+
+def _reference_eval(node, env):
+    """The checked tree walk that evaluate ran before it compiled expressions."""
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_reference_eval(node.operand, env)
+    if isinstance(node, BinOp):
+        a = _reference_eval(node.left, env)
+        b = _reference_eval(node.right, env)
+        if node.op == "+":
+            return _reference_check_finite(a + b, "addition")
+        if node.op == "-":
+            return _reference_check_finite(a - b, "subtraction")
+        if node.op == "*":
+            return _reference_check_finite(a * b, "multiplication")
+        if node.op == "/":
+            if np.any(b == 0):
+                raise EvalError("division by zero")
+            return _reference_check_finite(a / b, "division")
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = np.power(a, b)
+        return _reference_check_finite(out, "power")
+    args = [_reference_eval(a, env) for a in node.args]
+    if node.name == "sqrt":
+        if np.any(args[0] < 0):
+            raise EvalError("sqrt of negative value")
+        return np.sqrt(args[0])
+    if node.name == "abs":
+        return np.abs(args[0])
+    if node.name == "min":
+        return np.minimum(args[0], args[1])
+    if node.name == "max":
+        return np.maximum(args[0], args[1])
+    if node.name == "clamp":
+        return np.minimum(np.maximum(args[0], args[1]), args[2])
+    with np.errstate(over="ignore"):
+        out = getattr(np, node.name)(args[0])
+    return _reference_check_finite(out, node.name)
+
+
+def _reference_evaluate(node, t=0.0, x=0.0, l=0.0):
+    env = {"t": np.asarray(t, dtype=np.float64), "x": np.asarray(x, dtype=np.float64),
+           "l": np.asarray(l, dtype=np.float64)}
+    out = _reference_eval(node, env)
+    shape = np.broadcast_shapes(env["t"].shape, env["x"].shape, env["l"].shape)
+    return np.broadcast_to(np.asarray(out, dtype=np.float64), shape).copy() if shape else float(out)
+
+
+def _outcome(fn, node, args):
+    """(type, bits, shape) of fn's value, or (exception type, message)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = fn(node, *args)
+    except EvalError as exc:
+        return type(exc), str(exc)
+    return type(out), np.asarray(out).tobytes(), np.shape(out)
+
+
+_SPECIAL = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -3.25, 1e-300, 700.0, -800.0, 1e300,
+            np.inf, -np.inf, np.nan]
+_leaves = st.one_of(
+    st.builds(Num, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 800.0, 1e300, np.inf])),
+    st.builds(Var, st.sampled_from("txl")))
+_trees = st.recursive(_leaves, lambda kids: st.one_of(
+    st.builds(Neg, kids),
+    st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+    *[st.builds(Call, st.just(name), st.tuples(*[kids] * arity)) for name, arity in _FUNCTIONS],
+), max_leaves=10)
+# scalars, 1-d arrays and shapes that broadcast to (2, 3) against each other
+_inputs = st.sampled_from([(), (1,), (3,), (2, 1)]).flatmap(lambda shape: st.one_of(
+    st.sampled_from(_SPECIAL), st.floats(-5, 5),
+    st.lists(st.sampled_from(_SPECIAL) | st.floats(-5, 5),
+             min_size=int(np.prod(shape)), max_size=int(np.prod(shape))).map(
+        lambda v: np.array(v, dtype=np.float64).reshape(shape))))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_trees, _inputs, _inputs, _inputs)
+def test_evaluate_matches_the_reference_walk(node, t, x, l):
+    """Equal value bits, shape and type, or the same EvalError message."""
+    assert _outcome(evaluate, node, (t, x, l)) == _outcome(_reference_evaluate, node, (t, x, l))
+
+
+@pytest.mark.parametrize("source, message", [
+    ("1/exp(800*x)", "non-finite result in exp"),  # finite at the root, hidden by the division
+    ("exp(800*x) + 1/(x - x)", "non-finite result in exp"),  # the first failing node in post-order
+    ("1/(x - x) + exp(800*x)", "division by zero"),
+    ("2 - 1/(x + 1)^2000", "non-finite result in power"),
+    ("tanh(x*1e308*10)", "non-finite result in multiplication"),
+    ("max(sqrt(x - 2), 0)", "sqrt of negative value"),
+    ("clamp(x, 0, exp(x*2000))", "non-finite result in exp"),
+])
+def test_hidden_and_ordered_failures(source, message):
+    node = parse(source)
+    with pytest.raises(EvalError) as err:
+        evaluate(node, x=1.0)
+    assert str(err.value) == message
+    with pytest.raises(EvalError, match=message):  # again, on the closure kept on the node
+        evaluate(node, x=np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("source", ["exp(800*x)", "(0 - x)^0.5", "2^(1100*x)", "1/(x - 1)",
+                                    "sqrt(x - 2)", "0*exp(800*x)", "tanh(exp(800*x))"])
+def test_no_warning_where_the_reference_walk_is_silent(source):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalError):
+            evaluate(parse(source), x=np.array([1.0, 1.0]))
+
+
+def test_an_input_is_returned_as_a_copy():
+    x = np.array([1.0, 2.0, 3.0])
+    out = evaluate(parse("x"), x=x)
+    assert out is not x and not np.shares_memory(out, x) and out.tolist() == [1.0, 2.0, 3.0]
+    out = evaluate(parse("((x))"), 0.0, x, np.zeros(3))
+    assert not np.shares_memory(out, x)
+    assert evaluate(parse("t"), np.zeros((2, 1)), x).shape == (2, 3)
+    assert type(evaluate(parse("x"), x=2.0)) is float

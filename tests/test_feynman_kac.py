@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spidersim import feynman_kac
+from spidersim.coeffexpr import _compile, build_coefficient_set, parse
 from spidersim.feynman_kac import FKProblem, fk_estimate, fk_vs_pde
-from spidersim.network import constant_coefficients
-from spidersim.pde import PdeGrid
-from spidersim.simulator import SimConfig
+from spidersim.network import TestFunction, TfTerm, constant_coefficients
+from spidersim.pde import PdeGrid, flat_profile_poly, manufactured_backward
+from spidersim.simulator import SimConfig, SpiderState, run_paths
 
 
 def _c():
@@ -180,3 +182,79 @@ def test_fk_vs_pde_rejects_ray_and_time_before_solving(monkeypatch, bad):
         fk_vs_pde(FKProblem(g_edge=_const_g(2, 0.0)), _c(), [(0.0, 0.5, 1, 0.0), bad], cfg,
                   PdeGrid(8, 8, 4), R=3.0, K=2.0)
     assert solves == []
+
+
+def _manufactured_06c():
+    """A reduced criterion-06(c) problem: weights 1 + l and 1, and the sources
+    of a known solution, so that h0 evaluates the weights."""
+    c = build_coefficient_set({"I": 2, "b": ["0", "0"], "sigma": ["1", "1"],
+                               "alpha": {"exprs": ["1+l", "1"], "mode": "renormalize"}})
+    truth = TestFunction(I=2, terms=(
+        TfTerm(edge_coeffs=(1.0, -0.5), x_poly=flat_profile_poly(2.0, 1),
+               l_poly=(1.0, 0.3), time_poly=(1.0, -0.4)),
+        TfTerm(edge_coeffs=(0.4, 0.4), x_poly=flat_profile_poly(2.0, 2),
+               l_poly=(0.5, 0.0, 0.1), sin_omega=1.3, sin_phase=0.4),
+    ))
+    pde = manufactured_backward(c, truth, 1.0, 2.0, 2.0)
+    return c, FKProblem(g_edge=pde.g_edge, h_edge=pde.h_edge, h0=pde.h0)
+
+
+def test_vertex_cost_is_evaluated_on_the_hit_rows_only(monkeypatch):
+    c, prob = _manufactured_06c()
+    hits, seen = [], []
+
+    def h0(t, l):
+        seen.append((t.copy(), l.copy()))
+        return prob.h0(t, l)
+
+    def run_paths(c, init, cfg, lo, hi, on_step):
+        def spy(k, t, x, edge, l, dl, *rest):
+            if (dl > 0).any():
+                hits.append((t[dl > 0].copy(), l[dl > 0].copy()))
+            return on_step(k, t, x, edge, l, dl, *rest)
+        return orig(c, init, cfg, lo, hi, on_step=spy)
+
+    orig = feynman_kac.run_paths
+    monkeypatch.setattr(feynman_kac, "run_paths", run_paths)
+    fk_estimate(replace(prob, h0=h0), c, (0.8, 0.0, 1, 0.0),
+                SimConfig(h=1e-3, T=1.0, n_paths=300, seed=626))
+    assert len(hits) > 10 and len(seen) == len(hits)
+    for (t, l), (ts, ls) in zip(hits, seen):
+        assert t.tobytes() == ts.tobytes() and l.tobytes() == ls.tobytes()
+
+
+def test_hit_rows_estimate_is_bit_identical_to_the_all_rows_formula():
+    c, prob = _manufactured_06c()
+    cfg = SimConfig(h=1e-3, T=1.0, n_paths=400, seed=626)
+    query = (0.8, 0.3, 2, 0.1)
+    acc = np.zeros(cfg.n_paths)
+
+    def on_step(k, t, x, edge, l, dl, contact, b, sigma, parts):
+        acc_step = prob.running(parts, t, x, l) * cfg.h
+        hit = dl > 0
+        if hit.any():
+            acc_step = acc_step + np.where(hit, prob.vertex_cost(t, l) * dl, 0.0)
+        np.add(acc, acc_step, out=acc)
+
+    res = run_paths(c, SpiderState(*query), cfg, 0, cfg.n_paths, on_step=on_step)
+    vals = acc + prob.payoff(res.edge, res.x, res.l)
+    est = fk_estimate(prob, c, query, cfg)
+    assert repr(est.mean) == repr(float(vals.mean()))
+    assert repr(est.stderr) == repr(float(vals.std(ddof=1) / math.sqrt(vals.size)))
+
+
+@pytest.mark.parametrize("h, t0, T, rejected", [
+    ("30*t", 0.0, 0.25, False),        # above h_bound = 10 only after t = 1/3
+    ("8*t", 0.0, 2.0, True),           # above h_bound only for t in (1.25, 2]
+    ("30*(t - 0.5)", 0.5, 0.75, False),  # below the bound from the query's t on
+])
+def test_running_cost_bound_is_sampled_over_the_run_times(h, t0, T, rejected):
+    cost = _compile(parse(h))
+    prob = FKProblem(g_edge=_const_g(2, 0.0), h_edge=(cost, cost))
+    cfg = SimConfig(h=1e-2, T=T, n_paths=8, seed=1)
+    if rejected:
+        with pytest.raises(ValueError, match="exceeds its declared bound") as err:
+            fk_estimate(prob, _c(), (t0, 0.3, 1, 0.0), cfg)
+        assert err.value.names == ("h_edge", "h_bound")
+    else:
+        assert np.isfinite(fk_estimate(prob, _c(), (t0, 0.3, 1, 0.0), cfg).mean)
