@@ -36,10 +36,10 @@ class FKProblem:
     h0: Callable | None = None
     h_bound: float = 10.0
 
-    def check(self, I: int, t0: float, T: float) -> None:
+    def check(self, I: int, t0: float, T: float, R: float = 2.0, K: float = 1.0) -> None:
         """Vertex continuity of the payoff and the declared ceiling for the
-        running costs, sampled over the run's times [t0, T] (x and l on a
-        fixed box)."""
+        running costs, sampled over the run's times [t0, T], x in [0, R] and
+        l in [0, K] (fk_vs_pde passes its truncation box)."""
         if len(self.g_edge) != I:
             raise named(ValueError("payoff needs one entry per ray"), "g_edge")
         ls = np.linspace(0.0, 3.0, 13)
@@ -50,9 +50,9 @@ class FKProblem:
                             "g_edge")
         if self.h_edge is not None:
             ts = np.linspace(t0, T, 5)
-            xs = np.linspace(0.0, 2.0, 5)
+            xs = np.linspace(0.0, R, 5)
             for h in self.h_edge:
-                tt, xx, ll = np.meshgrid(ts, xs, ls[:5], indexing="ij")
+                tt, xx, ll = np.meshgrid(ts, xs, np.linspace(0.0, K, 5), indexing="ij")
                 vals = np.asarray(h(tt, xx, ll), dtype=float)
                 if np.max(np.abs(vals)) > self.h_bound:
                     raise named(ValueError("running cost exceeds its declared bound"),
@@ -138,8 +138,9 @@ def fk_vs_pde(prob: FKProblem, c: CoefficientSet, queries: Sequence[tuple],
     The per-query grid-error budget is the coarse-vs-fine solution gap at
     the query (first-order scheme, so the gap estimates the fine-grid
     error), inflated by RICHARDSON_FACTOR.  A row passes when
-    |MC - PDE| <= 3 stderr + budget.  Every query and the grid's coarsening
-    are checked before the solves.
+    |MC - PDE| <= 3 stderr + budget.  Every query, the grid's coarsening and
+    the problem (FKProblem.check on the truncation box, from the earliest
+    query time) are checked before the solves.
     """
     for k, q in enumerate(queries):
         if q[0] >= cfg.T or not 1 <= q[2] <= c.I:
@@ -152,6 +153,7 @@ def fk_vs_pde(prob: FKProblem, c: CoefficientSet, queries: Sequence[tuple],
             cfg.n_steps(q[0])
         except (ValueError, SimulationError) as exc:  # the run's start is this query's t
             raise named(exc, f"queries[{k}][0]", "cfg.T", "cfg.h")
+    prob.check(c.I, min((q[0] for q in queries), default=0.0), cfg.T, R, K)
     coarse_grid = grid.coarsened()
     pde_prob = PdeProblem(coefficients=c, T=cfg.T, R=R, K=K, g_edge=prob.g_edge,
                           h_edge=prob.h_edge, h0=prob.h0, psi_edge=psi_edge,

@@ -148,18 +148,19 @@ def excursion_functional(p: SpiderPath, f: TestFunction, eps: float, t: float) -
     return total
 
 
-def _edge_subset(c: CoefficientSet, edges: Iterable[int] | None) -> tuple[int, ...]:
-    subset = tuple(sorted(set(range(1, c.I + 1) if edges is None else (int(e) for e in edges))))
+def _ray_mask(c: CoefficientSet, edges: Iterable[int] | None) -> np.ndarray:
+    """selected[e] is True for the rays e of the subset (all rays for None)."""
+    subset = sorted(set(range(1, c.I + 1) if edges is None else (int(e) for e in edges)))
     if not subset or any(e < 1 or e > c.I for e in subset):
-        raise EstimationError(f"edge subset {subset} invalid for I={c.I}")
-    return subset
-
-
-def _shell_integrand(c: CoefficientSet, subset: tuple[int, ...], eps: float, t, x, edge, l):
-    """Indices of the rows inside the eps-shell on a selected ray, in order,
-    and sigma_i^2(t, 0, l) on them."""
+        raise EstimationError(f"edge subset {tuple(subset)} invalid for I={c.I}")
     selected = np.zeros(c.I + 1, dtype=bool)
-    selected[list(subset)] = True
+    selected[subset] = True
+    return selected
+
+
+def _shell_integrand(c: CoefficientSet, selected: np.ndarray, eps: float, t, x, edge, l):
+    """Indices of the rows inside the eps-shell on a selected ray, in order,
+    and sigma_i^2(t, 0, l) on them (t is read only when sigma has no table)."""
     rows = np.flatnonzero(x <= eps)
     rows = rows[selected[edge[rows]]]
     e = edge[rows]
@@ -178,12 +179,14 @@ def occupation_estimate(p: SpiderPath, c: CoefficientSet, eps: float, t: float,
     """
     if eps <= 0:
         raise EstimationError("eps must be positive")
-    subset = _edge_subset(c, edges)
+    selected = _ray_mask(c, edges)
     idx = grid_index(p, t)
-    grid = (p.times()[:idx], p.x[:idx], p.edge[:idx], p.l[:idx])
+    times = p.times()[:idx] if c.sigma_table is None else None
+    rows, sig2 = _shell_integrand(c, selected, eps, times, p.x[:idx], p.edge[:idx], p.l[:idx])
+    ray = p.edge[rows]
     total = 0.0
-    for e in subset:  # one sum per ray, in ray order
-        total += float(np.sum(_shell_integrand(c, (e,), eps, *grid)[1])) * p.h
+    for e in np.flatnonzero(selected):  # one sum per ray, in ray order
+        total += float(np.sum(sig2[ray == e])) * p.h
     return LocalTimeEstimate(method="occupation", value=total / (2.0 * eps), eps=eps, t=t)
 
 
@@ -195,13 +198,13 @@ def occupation_batch(c: CoefficientSet, init, cfg, eps: float,
     Equivalent to occupation_estimate at the horizon on stored paths, but
     accumulated on the fly so large ensembles never materialize.
     """
-    subset = _edge_subset(c, edges)
+    selected = _ray_mask(c, edges)
 
     def block(lo, hi):
         acc = np.zeros(hi - lo)
 
         def on_step(k, t, x, edge, l, dl, contact, *_):
-            rows, sig2 = _shell_integrand(c, subset, eps, t, x, edge, l)
+            rows, sig2 = _shell_integrand(c, selected, eps, t, x, edge, l)
             acc[rows] += sig2 * cfg.h
 
         run_paths(c, init, cfg, lo, hi, on_step=on_step)

@@ -199,14 +199,21 @@ class FirstHitResult:
 # ---------------------------------------------------------------------------
 
 
-def _pick_edges(amat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(amat, axis=1)
-    low, dev = amat.min(), np.abs(cum[:, -1] - 1.0).max()
+def _cum_weights(amat: np.ndarray) -> np.ndarray:
+    """Cumulative ray weights of each row of amat ((n, I), or one (I,) table),
+    after checking that every row is a probability vector."""
+    cum = np.cumsum(amat, axis=-1)
+    low, dev = amat.min(), np.abs(cum[..., -1] - 1.0).max()
     if not (low >= 0 and dev <= 1e-12):  # also catches NaN
         raise SimulationError(f"ray weights are not a probability vector: smallest {low:.6g}, "
                               f"largest |row sum - 1| {dev:.3g} (need >= 0 and <= 1e-12)")
+    return cum
+
+
+def _pick_edges(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """1-based ray of each uniform u against its row of cum (or one shared row)."""
     idx = (u[:, None] > cum).sum(axis=1)
-    return np.minimum(idx, amat.shape[1] - 1).astype(np.int64) + 1
+    return np.minimum(idx, cum.shape[-1] - 1).astype(np.int64) + 1
 
 
 def run_batch(
@@ -265,6 +272,8 @@ def run_batch(
     absorbing = stop_level is not None
     if absorbing and (on_step is not None or store):
         raise SimulationError("absorption mode does not support on_step/store")
+    # a constant family's weights are summed and checked once, before any step
+    cum_table = None if c.alpha_table is None else _cum_weights(c.alpha_table)
 
     shell = cfg.policy == "shell"
     sq = math.sqrt(cfg.h)
@@ -291,7 +300,8 @@ def run_batch(
 
     def redraw(mask, slot):
         u = _rng.uniforms(seed, ids[mask], base + np.uint64(slot))
-        edge[mask] = _pick_edges(c.alpha_matrix(t[mask], l[mask]), u)
+        cum = cum_table if cum_table is not None else _cum_weights(c.alpha_matrix(t[mask], l[mask]))
+        edge[mask] = _pick_edges(cum, u)
 
     for k in range(K + 1):
         if absorbing:

@@ -336,6 +336,9 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
      "fk.h"),
     ("localtime", {"localtime": {"eps_list": [0.2, 0.1, 0.2], "n_paths": 2}}, [],
      "localtime.eps_list[2]"),
+    ("fk-compare", {"fk": {"g": ["0", "0"], "h": ["5*x", "5*x"], "queries": [[0.0, 0.4, 1, 0.1]]},
+                    "fk_compare": {"R": 3.0, "K": 1.0, "grid": {"M": 8, "J": 8, "P": 4}}}, [],
+     "fk.h, fk.h_bound"),
 ], ids=["hitting-without-level", "scatter-below-min-excursions", "s-past-horizon",
         "negative-seed-flag", "scatter-delta-below-two-shells", "exit-delta-below-shell",
         "empty-window", "s-off-grid", "s_prime-off-grid", "lag-off-grid",
@@ -351,7 +354,8 @@ _FINE_SIM = {"h": 1e-5, "T": 1e-3, "n_paths": 20, "seed": 7}
         "markov-time-past-T", "markov-time-too-late-for-lag", "fk-compare-query-near-R",
         "fk-compare-grid-odd", "localtime-eps-inside-activity-radius", "shell-h-too-large",
         "fk-g-discontinuous", "pde-g-discontinuous", "fk-h-above-bound",
-        "fk-h-above-bound-after-t-1", "localtime-eps-repeated"])
+        "fk-h-above-bound-after-t-1", "localtime-eps-repeated",
+        "fk-compare-h-above-bound-past-x-2"])
 def test_library_precondition_exits_2_and_names_it(tmp_path, capsys, sub, blocks, flags, key):
     """Values of the right type that break a precondition of the library
     call are configuration errors (exit 2), not runtime errors (exit 3)."""

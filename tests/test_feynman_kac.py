@@ -258,3 +258,20 @@ def test_running_cost_bound_is_sampled_over_the_run_times(h, t0, T, rejected):
         assert err.value.names == ("h_edge", "h_bound")
     else:
         assert np.isfinite(fk_estimate(prob, _c(), (t0, 0.3, 1, 0.0), cfg).mean)
+
+
+@pytest.mark.parametrize("h, R, K", [("5*x", 3.0, 1.0), ("5*l", 2.0, 3.0)],
+                         ids=["above-bound-past-x-2", "above-bound-past-l-2"])
+def test_fk_vs_pde_checks_running_cost_on_its_truncation_box(monkeypatch, h, R, K):
+    """5*x (5*l) stays within h_bound = 10 on x, l <= 2 but not on the
+    truncation box [0, R] x [0, K]; fk_vs_pde rejects it before either solve."""
+    solves = []
+    solve = feynman_kac.solve
+    monkeypatch.setattr(feynman_kac, "solve", lambda *a: solves.append(a) or solve(*a))
+    cost = _compile(parse(h))
+    prob = FKProblem(g_edge=_const_g(2, 0.0), h_edge=(cost, cost))
+    cfg = SimConfig(h=1e-2, T=0.5, n_paths=10, seed=0)
+    with pytest.raises(ValueError, match="exceeds its declared bound") as err:
+        fk_vs_pde(prob, _c(), [(0.0, 0.5, 1, 0.1)], cfg, PdeGrid(8, 8, 4), R=R, K=K)
+    assert err.value.names == ("h_edge", "h_bound")
+    assert solves == []

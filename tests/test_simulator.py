@@ -114,6 +114,18 @@ def test_ray_draw_rejects_invalid_weights(weights):
         simulate_batch(c, SpiderState(0.0, 0.0, 1, 0.0), cfg)
 
 
+@pytest.mark.parametrize("weights", [(1.2, -0.2), (0.5, 0.6)])
+def test_bad_weight_table_is_rejected_before_any_step(weights):
+    """A constant weight table is checked at the start of run_batch, not at
+    the first contact: these paths start far from the vertex and take one
+    short step, so none of them redraws its ray."""
+    base = _c()
+    c = CoefficientSet(I=2, b=base.b, sigma=base.sigma, alpha=weights, bounds=base.bounds)
+    cfg = SimConfig(h=1e-4, T=1e-4, n_paths=5, seed=4)
+    with pytest.raises(SimulationError, match="probability vector"):
+        simulate_batch(c, SpiderState(0.0, 1.0, 1, 0.0), cfg)
+
+
 def test_first_hit_empty_batch():
     fh = first_hit(_c(), SpiderState(0.0, 0.0, 1, 0.0),
                    SimConfig(h=1e-2, T=0.1, n_paths=0, seed=1), 0.5)

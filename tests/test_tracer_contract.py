@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spidersim import coeffexpr, feynman_kac, localtime, simulator, verify
+from spidersim import coeffexpr, feynman_kac, localtime, rng, simulator, verify
 from spidersim.network import constant_coefficients
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -115,3 +115,67 @@ def test_ensembles_hand_run_batch_what_the_tracer_reads(monkeypatch):
             assert a.tobytes() == b.tobytes(), name
         else:  # float reprs round-trip, so equal reprs are equal bits
             assert repr(a) == repr(b), name
+
+
+def _spy_draws(monkeypatch) -> list:
+    """Record (name, rows, counter) of every rng.gaussians and rng.uniforms
+    call, looked up on the module as the tracer patches them."""
+    calls = []
+    for name in ("gaussians", "uniforms"):
+        def spy(seed, stream, ctr, _name=name, _orig=getattr(rng, name)):
+            calls.append((_name, int(np.size(stream)), int(ctr)))
+            return _orig(seed, stream, ctr)
+        monkeypatch.setattr(rng, name, spy)
+    return calls
+
+
+def _slot(k, slot):
+    return simulator._SLOTS * k + slot
+
+
+def _draws(calls, name):
+    return [(rows, ctr) for n, rows, ctr in calls if n == name]
+
+
+_DRAW_C = constant_coefficients(2, sigma=1.0, b=0.0, alpha=[0.6, 0.4])
+
+
+def test_run_batch_draws_one_gaussian_call_per_step_on_all_rows(monkeypatch):
+    """The trace identities (simulator.steps == K, rng.normals in the kernel
+    == path-steps) read one gaussians call per executed step, sized to the
+    running rows."""
+    calls = _spy_draws(monkeypatch)
+    cfg = simulator.SimConfig(h=1e-3, T=0.02, n_paths=7, seed=3)
+    simulator.run_paths(_DRAW_C, simulator.SpiderState(0.0, 0.1, 1, 0.0), cfg, 0, 7)
+    assert _draws(calls, "gaussians") == [(7, _slot(k, simulator._GAUSS_SLOT))
+                                          for k in range(cfg.n_steps())]
+
+
+def test_absorbing_run_draws_one_gaussian_call_per_step_on_the_live_rows(monkeypatch):
+    calls = _spy_draws(monkeypatch)
+    cfg = simulator.SimConfig(h=1e-3, T=0.03, n_paths=40, seed=5)
+    fh = simulator.first_hit(_DRAW_C, simulator.SpiderState(0.0, 0.0, 1, 0.0), cfg, 0.08)
+    K = cfg.n_steps()
+    # a path that hits at grid step s is dropped at the top of step s
+    hit_step = np.where(fh.censored, K, np.rint(np.nan_to_num(fh.theta) / cfg.h)).astype(int)
+    executed = hit_step.max()
+    expected = [(int((hit_step > k).sum()), _slot(k, simulator._GAUSS_SLOT))
+                for k in range(executed)]
+    assert expected[-1][0] < cfg.n_paths  # rows did drop out
+    assert _draws(calls, "gaussians") == expected
+
+
+def test_every_ray_redraw_is_a_uniforms_call(monkeypatch):
+    """Departures from the start at the vertex (step 0) and each step's
+    contacts draw their rays through rng.uniforms, one call per step that
+    has any, on exactly those rows."""
+    calls = _spy_draws(monkeypatch)
+    cfg = simulator.SimConfig(h=1e-3, T=0.02, n_paths=9, seed=7)
+    res = simulator.run_paths(_DRAW_C, simulator.SpiderState(0.0, 0.0, 1, 0.0), cfg, 0, 9,
+                              store=True)
+    contact = np.array([p.contact for p in res.paths])  # contact[:, k + 1]: step k
+    expected = [(9, _slot(0, simulator._DEPART_SLOT))]
+    expected += [(int(contact[:, k + 1].sum()), _slot(k, simulator._CONTACT_SLOT))
+                 for k in range(cfg.n_steps()) if contact[:, k + 1].any()]
+    assert len(expected) > 2  # the paths do touch the vertex
+    assert _draws(calls, "uniforms") == expected
