@@ -10,7 +10,8 @@ to one writer.
 Any refactor must reproduce them.  Floats are compared at 1e-12 relative (not as byte
 digests, so other CPUs and numpy builds pass too), integer and bool arrays
 exactly.  The CLI files are byte-stable by contract, so they are pinned by
-sha256.
+sha256, and so are the shell-policy stored paths, whose departure and
+shell-entry redraws must land on the same grid points bit for bit.
 """
 
 import hashlib
@@ -24,7 +25,8 @@ from spidersim.feynman_kac import FKProblem, fk_estimate
 from spidersim.network import CoefficientBounds, CoefficientSet, TestFunction, TfTerm, constant_coefficients
 from spidersim.pde import (PdeGrid, PdeProblem, PdeSolution, flat_profile_poly, manufactured_backward,
                            residual, solve)
-from spidersim.simulator import SimConfig, SpiderState, first_hit, run_batch, simulate_batch, simulate_path
+from spidersim.simulator import (SimConfig, SpiderState, first_hit, run_batch, run_paths, simulate_batch,
+                                 simulate_path)
 from spidersim.verify import ito_residual, make_battery, martingale_residual, martingale_residual_paths
 
 RTOL = 1e-12
@@ -83,6 +85,13 @@ def _absorbing_cases(c):
 def _stored_path(c):
     cfg = SimConfig(h=1e-3, T=0.04, seed=11)
     return simulate_path(c, SpiderState(0.0, 0.0, 1, 0.0), cfg, path_index=3)
+
+
+def _stored_shell_paths(c):
+    """N shell-policy paths from the vertex: a departure redraw at step 0,
+    then shell exits at delta_shell and re-entries that redraw the ray."""
+    cfg = _cfg("shell", seed=404, T=0.02)
+    return cfg, run_paths(c, SpiderState(0.0, 0.0, 2, 0.0), cfg, 0, N, store=True).paths
 
 
 def _manufactured():
@@ -179,6 +188,15 @@ def test_stored_path():
     p = _stored_path(_coefficients())
     for key, e in PATH.items():
         _check(getattr(p, key), e)
+
+
+def test_stored_shell_paths():
+    cfg, paths = _stored_shell_paths(_coefficients())
+    x = np.stack([p.x for p in paths])
+    assert (x == cfg.delta_shell).any() and np.stack([p.contact for p in paths])[:, 1:].any()
+    for key, digest in SHELL_PATHS.items():
+        got = np.stack([getattr(p, key) for p in paths])
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest, key
 
 
 def test_pde_manufactured_solution_and_residual():
@@ -314,6 +332,15 @@ PATH = {
     "l": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.07696760938562891, 0.07696760938562891, 0.07696760938562891, 0.07696760938562891],
     "contact": [False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, False, True, False, False, False],
     "gauss": [0.6700310612911672, 1.630829647998178, -1.4538032131824128, 0.6067902739138634, 0.1475699688744502, 0.1964060204275193, 2.0674071713231505, 0.721117061795941, -0.24678245683149044, 1.3839063465618884, 0.6453103271175342, 1.0650287162450949, -0.14063282557983794, -2.1270106448081427, -0.7121254212180382, 0.9872504000055905, 0.5287244335194363, 0.41851408208840324, 0.16327172310456012, -0.801665019225615, -0.6475950345078848, -1.8730628792113464, -0.18910089805127744, 0.16536298752050535, 0.9086946899992437, -0.24287486519117496, -0.03936114053039663, -0.3868585904856498, -1.189696566593552, 0.3113846567036925, -0.8319066589748803, 0.1010858999059335, 0.5442291288508316, -1.685163804419943, 0.020507905205573895, -0.3910566206086373, -1.0463524782864573, 0.7649770990065186, -0.1492836863897511, -0.15167969790146296],
+}
+
+# sha256 of np.stack over the N paths of _stored_shell_paths, per field
+SHELL_PATHS = {
+    "x": "f1ce8b6578c89e6b57ad015958698c1f7171c9a78ed3645bbb1be1662d3547ae",
+    "edge": "d819eab3032e8fc138a57d17bfff52e2cae524c45e72892d5259486e8edd5e32",
+    "l": "8a9d7bc5fd178445e857725679213b178c02b94788eb286692f32a80ea14f558",
+    "contact": "30b5b36a1037da33401760c4bc7faf56233ac31982ba08c6fbc2319739cb9d79",
+    "gauss": "47c38fc286982302e6185d1b4179b3eeed9cba7fbeb4bea63d0564cd4af87978",
 }
 
 PDE = {
