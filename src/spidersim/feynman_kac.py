@@ -102,12 +102,12 @@ def _per_path_values(prob: FKProblem, c: CoefficientSet, init: SpiderState, cfg:
                      lo: int, hi: int) -> np.ndarray:
     acc = np.zeros(hi - lo)
 
-    def on_step(k, t, x, edge, l, dl, contact, b, sigma, parts):
-        acc_step = prob.running(parts, t, x, l) * cfg.h
+    def on_step(step):
+        acc_step = prob.running(step.parts, step.t, step.x, step.l) * cfg.h
         if prob.h0 is not None:
-            hit = dl > 0
+            hit = step.dl > 0
             if hit.any():
-                acc_step[hit] += prob.vertex_cost(t[hit], l[hit]) * dl[hit]
+                acc_step[hit] += prob.vertex_cost(step.t[hit], step.l[hit]) * step.dl[hit]
         np.add(acc, acc_step, out=acc)
 
     res = run_paths(c, init, cfg, lo, hi, on_step=on_step)

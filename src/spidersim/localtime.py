@@ -203,8 +203,8 @@ def occupation_batch(c: CoefficientSet, init, cfg, eps: float,
     def block(lo, hi):
         acc = np.zeros(hi - lo)
 
-        def on_step(k, t, x, edge, l, dl, contact, *_):
-            rows, sig2 = _shell_integrand(c, selected, eps, t, x, edge, l)
+        def on_step(step):
+            rows, sig2 = _shell_integrand(c, selected, eps, step.t, step.x, step.edge, step.l)
             acc[rows] += sig2 * cfg.h
 
         run_paths(c, init, cfg, lo, hi, on_step=on_step)

@@ -493,7 +493,7 @@ def generator(f: TestFunction, edge, t, x, l, b, sigma):
     """Ray generator f_t + (1/2) sigma^2 f_xx + b f_x of f, row-wise on rays edge.
 
     b and sigma are the drift and diffusion of each row's own ray at
-    (t, x, l), as run_batch hands them to on_step.
+    (t, x, l), as step.b and step.sigma of the simulator's Step record.
     """
     f_t, f_xx, f_x = f._acc(edge, t, x, l, (1, 0, 0), (0, 2, 0), (0, 1, 0))
     return (f_t + 0.5 * sigma**2 * f_xx) + b * f_x

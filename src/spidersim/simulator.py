@@ -40,6 +40,7 @@ __all__ = [
     "SpiderPath",
     "BatchResult",
     "FirstHitResult",
+    "Step",
     "SimulationError",
     "grid_step",
     "simulate_path",
@@ -194,6 +195,27 @@ class FirstHitResult:
         return self.theta.size
 
 
+class Step:
+    """One Euler step as run_batch hands it to on_step: left-endpoint k, t,
+    x, edge, l (a departing path's ray already drawn, a contact's from the
+    next step on), the gaussians g, local-time increment dl and contact
+    mask, and each path's drift b and diffusion sigma as the step used
+    them.  Read it inside on_step: the kernel redraws edge in place."""
+
+    __slots__ = ("k", "t", "x", "edge", "l", "g", "n_rays", "_parts", "dl", "contact", "b", "sigma")
+
+    def __init__(self, k, t, x, edge, l, g, n_rays):
+        self.k, self.t, self.x, self.edge, self.l, self.g = k, t, x, edge, l, g
+        self.n_rays, self._parts = n_rays, None
+
+    @property
+    def parts(self) -> list[np.ndarray]:
+        """ray_partition(n_rays, edge), built on first read and kept."""
+        if self._parts is None:
+            self._parts = ray_partition(self.n_rays, self.edge)
+        return self._parts
+
+
 # ---------------------------------------------------------------------------
 # vectorized engine
 # ---------------------------------------------------------------------------
@@ -226,29 +248,21 @@ def run_batch(
     edge0,
     l0,
     path_ids: np.ndarray | None = None,
-    on_step: Callable | None = None,
-    store: bool = False,
+    on_step: Callable[[Step], object] | None = None,
     gaussians: np.ndarray | None = None,
     stop_level: float | None = None,
 ) -> BatchResult | FirstHitResult:
     """Advance a batch of paths K steps on the uniform grid; the loop ends
     early when no path is left (at once for an empty batch).
 
-    ``on_step(k, t, x, edge, l, dl, contact, b, sigma, parts)`` is called
-    once per step with the left-endpoint state (edge already redrawn for
-    paths departing the vertex), the local-time increment of the step, the
-    contact mask, the drift and diffusion of each path's ray at that state,
-    as the step used them, and ``parts = ray_partition(c.I, edge)``, which
-    the step builds once and evaluates drift and diffusion on ray by ray.
-    A constant family (``c.b_table``, ``c.sigma_table``) is read as
-    ``table[edge - 1]`` instead; a step that needs no partition builds none.
+    ``on_step(step)`` is called once per step with its Step record.  The
+    kernel reads ``step.parts`` only for drift or diffusion without a table.
 
     With ``stop_level`` set, absorption is a stop mask on the same loop: at
     the top of every step (and after the last) the paths with x >= stop_level
     book their time, ray and local time and are dropped from the running
     arrays, which are copied once into shorter ones.  A FirstHitResult is
-    returned, censored where theta is nan; on_step and store are not
-    supported there.
+    returned, censored where theta is nan; on_step is not supported there.
     """
     cfg.check_against(c)
     seed = cfg.seed
@@ -270,8 +284,8 @@ def run_batch(
     if gaussians is not None and gaussians.shape != (n, K):
         raise SimulationError(f"gaussians must have shape ({n}, {K})")
     absorbing = stop_level is not None
-    if absorbing and (on_step is not None or store):
-        raise SimulationError("absorption mode does not support on_step/store")
+    if absorbing and on_step is not None:
+        raise SimulationError("absorption mode does not support on_step")
     # a constant family's weights are summed and checked once, before any step
     cum_table = None if c.alpha_table is None else _cum_weights(c.alpha_table)
 
@@ -280,20 +294,12 @@ def run_batch(
     h = cfg.h
     dsh = cfg.delta_shell
 
-    if store:
-        X = np.empty((n, K + 1))
-        E = np.empty((n, K + 1), dtype=np.int64)
-        L = np.empty((n, K + 1))
-        C = np.zeros((n, K + 1), dtype=bool)
-        G = np.empty((n, K))
-        X[:, 0], E[:, 0], L[:, 0] = x, edge, l
     if absorbing:
         theta = np.full(n, np.nan)
         exit_edge = np.zeros(n, dtype=np.int64)
         exit_l = np.full(n, np.nan)
         rows = np.arange(n)  # output row of each running path
 
-    need_parts = on_step is not None or c.b_table is None or c.sigma_table is None
     ids = path_ids
     pending = x == 0.0
     shell_mode = np.zeros(n, dtype=bool)
@@ -320,17 +326,15 @@ def run_batch(
             if shell:
                 shell_mode |= pending
             pending[:] = False
-            if store:
-                E[:, k] = edge  # departure ray is the label at this node
         if gaussians is None:
             g = _rng.gaussians(seed, ids, base + np.uint64(_GAUSS_SLOT))
         elif absorbing:
             g = gaussians[rows, k]
         else:
             g = gaussians[:, k]
-        parts = ray_partition(c.I, edge) if need_parts else None
-        bv = per_ray(parts, c.drift, t, x, l) if c.b_table is None else c.b_table[edge - 1]
-        sv = (per_ray(parts, c.diffusion, t, x, l) if c.sigma_table is None
+        step = Step(k, t, x, edge, l, g, c.I)
+        bv = per_ray(step.parts, c.drift, t, x, l) if c.b_table is None else c.b_table[edge - 1]
+        sv = (per_ray(step.parts, c.diffusion, t, x, l) if c.sigma_table is None
               else c.sigma_table[edge - 1])
         y = x + bv * h + sv * sq * g
         if not np.all(np.isfinite(y)):
@@ -340,9 +344,8 @@ def run_batch(
         dl = 2.0 * over
         x_new = np.where(contact, over, y)
         if on_step is not None:
-            # left-endpoint state: the ray redrawn at a contact applies only
-            # from the next grid point on
-            on_step(k, t, x, edge, l, dl, contact, bv, sv, parts)
+            step.dl, step.contact, step.b, step.sigma = dl, contact, bv, sv
+            on_step(step)
         if shell:
             enter = contact & ~shell_mode
             if enter.any():
@@ -356,26 +359,11 @@ def run_batch(
         x = x_new
         l = l + dl
         t = t + h
-        if store:
-            X[:, k + 1], E[:, k + 1], L[:, k + 1] = x, edge, l
-            C[:, k + 1] = contact
-            G[:, k] = g
 
     if absorbing:
         return FirstHitResult(theta=theta, edge=exit_edge, l=exit_l,
                               censored=np.isnan(theta))
-    paths = None
-    if store:
-        paths = [
-            SpiderPath(
-                t0=float(np.asarray(t0).ravel()[p] if np.ndim(t0) else t0),
-                h=h, x=X[p].copy(), edge=E[p].copy(), l=L[p].copy(),
-                contact=C[p].copy(), gauss=G[p].copy(), delta_shell=dsh,
-                sigma_bound=c.bounds.sigma_bound,
-            )
-            for p in range(n)
-        ]
-    return BatchResult(t=t, x=x, edge=edge, l=l, paths=paths)
+    return BatchResult(t=t, x=x, edge=edge, l=l)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +377,28 @@ def simulate_path(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
     return run_paths(c, init, cfg, path_index, path_index + 1, store=True).paths[0]
 
 
-def run_paths(c: CoefficientSet, init: SpiderState, cfg: SimConfig, lo: int, hi: int, **kw):
-    """run_batch for paths lo..hi-1 from init to cfg.T; kw (on_step, store,
-    stop_level) go to run_batch as given.  A start at or after cfg.T is a
-    ValueError (SimConfig.n_steps), not a zero-step run."""
-    return run_batch(c, cfg, K=cfg.n_steps(init.t), t0=init.t, x0=init.x, edge0=init.i,
-                     l0=init.l, path_ids=np.arange(lo, hi, dtype=np.uint64), **kw)
+def run_paths(c: CoefficientSet, init: SpiderState, cfg: SimConfig, lo: int, hi: int,
+              store: bool = False, **kw):
+    """run_batch for paths lo..hi-1 from init to cfg.T, kw (on_step,
+    gaussians, stop_level) passed on; store=True records every path into
+    BatchResult.paths through an on_step of its own.  A start at or after
+    cfg.T is a ValueError (SimConfig.n_steps), not a zero-step run."""
+    K = cfg.n_steps(init.t)
+    if not store:
+        return run_batch(c, cfg, K=K, t0=init.t, x0=init.x, edge0=init.i, l0=init.l,
+                         path_ids=np.arange(lo, hi, dtype=np.uint64), **kw)
+    X, L, G = np.empty((hi - lo, K + 1)), np.empty((hi - lo, K + 1)), np.empty((hi - lo, K))
+    E, C = np.empty(X.shape, dtype=np.int64), np.zeros(X.shape, dtype=bool)
+
+    def record(step):
+        X[:, step.k], E[:, step.k], L[:, step.k], G[:, step.k] = step.x, step.edge, step.l, step.g
+        C[:, step.k + 1] = step.contact
+
+    res = run_paths(c, init, cfg, lo, hi, on_step=record, **kw)
+    X[:, K], E[:, K], L[:, K] = res.x, res.edge, res.l
+    res.paths = [SpiderPath(float(init.t), cfg.h, *rows, cfg.delta_shell, c.bounds.sigma_bound)
+                 for rows in zip(X, E, L, C, G)]  # x, edge, l, contact, gauss of one path
+    return res
 
 
 def _join(parts):

@@ -240,13 +240,14 @@ def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
         n = hi - lo
         resid = np.zeros((nf, n))
 
-        def on_step(k, t, x, edge, l, dl, contact, b, sigma, *_):
+        def on_step(step):
+            k, t, x, edge, l, dl = step.k, step.t, step.x, step.edge, step.l, step.dl
             if k == ks:
                 for q, f in enumerate(f_list):
                     resid[q] -= f.value(edge, t, x, l)
             if ks <= k < ke:
                 for q, f in enumerate(f_list):
-                    resid[q] -= generator(f, edge, t, x, l, b, sigma) * cfg.h
+                    resid[q] -= generator(f, edge, t, x, l, step.b, step.sigma) * cfg.h
                 hit = dl > 0
                 if hit.any():
                     th, lh, dlh = t[hit], l[hit], dl[hit]
@@ -586,8 +587,9 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
         fval = np.full(nb, np.nan)
         carry_visit = np.zeros(nb, dtype=bool)
 
-        def on_step(k, t, x, edge, l, dl, contact, *_):
+        def on_step(step):
             nonlocal carry_visit
+            k, x, edge, l = step.k, step.x, step.edge, step.l
             undecided = tau_idx < 0
             if spec.kind == "hitting":
                 cond = x >= spec.level if going_up else x <= spec.level
@@ -604,7 +606,7 @@ def strong_markov_test(c: CoefficientSet, spec: StoppingSpec,
             want = (tau_idx >= 0) & (tau_idx + U == k)
             if want.any():
                 fval[want] = fn(x, edge, l)[want]
-            carry_visit = contact.copy()
+            carry_visit = step.contact.copy()
 
         res = run_paths(c, init, cfg, lo, hi, on_step=on_step)
         want = (tau_idx >= 0) & (tau_idx + U == K)

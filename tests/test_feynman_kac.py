@@ -208,10 +208,11 @@ def test_vertex_cost_is_evaluated_on_the_hit_rows_only(monkeypatch):
         return prob.h0(t, l)
 
     def run_paths(c, init, cfg, lo, hi, on_step):
-        def spy(k, t, x, edge, l, dl, *rest):
-            if (dl > 0).any():
-                hits.append((t[dl > 0].copy(), l[dl > 0].copy()))
-            return on_step(k, t, x, edge, l, dl, *rest)
+        def spy(step):
+            hit = step.dl > 0
+            if hit.any():
+                hits.append((step.t[hit].copy(), step.l[hit].copy()))
+            return on_step(step)
         return orig(c, init, cfg, lo, hi, on_step=spy)
 
     orig = feynman_kac.run_paths
@@ -229,8 +230,9 @@ def test_hit_rows_estimate_is_bit_identical_to_the_all_rows_formula():
     query = (0.8, 0.3, 2, 0.1)
     acc = np.zeros(cfg.n_paths)
 
-    def on_step(k, t, x, edge, l, dl, contact, b, sigma, parts):
-        acc_step = prob.running(parts, t, x, l) * cfg.h
+    def on_step(step):
+        t, l, dl = step.t, step.l, step.dl
+        acc_step = prob.running(step.parts, t, step.x, l) * cfg.h
         hit = dl > 0
         if hit.any():
             acc_step = acc_step + np.where(hit, prob.vertex_cost(t, l) * dl, 0.0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from spidersim import simulator
 from spidersim.coeffexpr import build_coefficient_set
-from spidersim.localtime import oracle_path
+from spidersim.localtime import occupation_batch, oracle_path
 from spidersim.network import CoefficientBounds, CoefficientSet, constant_coefficients
 from spidersim.rng import gaussians
 from spidersim.simulator import (
@@ -47,7 +48,8 @@ def test_run_batch_pure_drift():
 
 def test_run_batch_contact_step():
     # proposal y = 0.001 - 0.3 < 0: placed at -y, local time booked 2*(-y)
-    p = _one_step(_c(), 0.001, -3.0, store=True).paths[0]
+    p = run_paths(_c(), SpiderState(0.0, 0.001, 1, 0.0), SimConfig(h=0.01, T=0.01, seed=11),
+                  0, 1, store=True, gaussians=np.array([[-3.0]])).paths[0]
     y = 0.001 + np.sqrt(0.01) * -3.0
     assert p.contact.tolist() == [False, True]
     assert p.x[1] == -y
@@ -404,17 +406,37 @@ def test_constant_family_skips_coefficient_dispatch(monkeypatch):
     assert len(calls) >= 2 * 50
 
 
+def _spy_partitions(monkeypatch) -> list:
+    """Every partition the simulator builds, in order (Step.parts looks
+    ray_partition up on the module)."""
+    built = []
+
+    def spy(n_rays, edge, _orig=simulator.ray_partition):
+        built.append(_orig(n_rays, edge))
+        return built[-1]
+
+    monkeypatch.setattr(simulator, "ray_partition", spy)
+    return built
+
+
 @pytest.mark.parametrize("family", ["constant", "expressions"])
-def test_on_step_gets_the_steps_ray_partition(family):
+def test_on_step_gets_the_steps_ray_partition(family, monkeypatch):
+    """step.parts is the step's ray partition, built at most once per step:
+    by the kernel for an expression family, on first read for a constant one."""
     c = _constant_families()[family]
     c = CoefficientSet(I=3, b=c.b, sigma=c.sigma, bounds=c.bounds,
                        alpha=(0.6, 0.4, 0.0))  # ray 3 is never drawn
+    built = _spy_partitions(monkeypatch)
     seen = []
 
-    def on_step(k, t, x, edge, l, dl, contact, b, sigma, parts):
+    def on_step(step):
+        before = len(built)
+        parts = step.parts
+        assert step.parts is parts and len(built) == before + (family == "constant")
+        assert parts is built[-1]  # the kernel's own for an expression family
         assert len(parts) == 3
         for e, rows in enumerate(parts, 1):
-            assert np.array_equal(rows, np.flatnonzero(edge == e))
+            assert np.array_equal(rows, np.flatnonzero(step.edge == e))
         seen.append([rows.size for rows in parts])
 
     cfg = SimConfig(h=1e-3, T=0.05, seed=2)
@@ -423,6 +445,18 @@ def test_on_step_gets_the_steps_ray_partition(family):
     sizes = np.array(seen)
     assert sizes.shape == (50, 3) and (sizes.sum(axis=1) == 50).all()
     assert (sizes[1:, 1] > 0).any() and (sizes[:, 2] == 0).all()
+    assert len(built) == 50
+
+
+def test_constant_family_builds_no_partition_nobody_reads(monkeypatch):
+    """A constant family reads drift and diffusion from its tables, and
+    occupation_batch never reads step.parts: no step builds a partition."""
+    built = _spy_partitions(monkeypatch)
+    cfg = SimConfig(h=1e-3, T=0.05, n_paths=20, seed=2)
+    vals = occupation_batch(_constant_families()["constant"], SpiderState(0.0, 0.0, 1, 0.0),
+                            cfg, 0.05)
+    assert vals.size == 20 and (vals > 0).any()  # the paths did cross the shell
+    assert built == []
 
 
 @pytest.mark.parametrize("t0, h, t, k", [

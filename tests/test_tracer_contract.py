@@ -4,6 +4,7 @@ wrapped name, instead of only ``--trace 1`` breaking."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +83,9 @@ def _ensembles(workers):
 def test_ensembles_hand_run_batch_what_the_tracer_reads(monkeypatch):
     """perfbench/tracing.py reads K and t0 of every run_batch call as
     keywords, and books an on_step callback to the layer its __module__
-    names; so each ensemble passes K= and t0= and its own on_step, unwrapped.
-    Results stay bit-identical across worker counts."""
+    names; so each ensemble passes K= and t0= and its own on_step, unwrapped,
+    taking the one Step argument.  Results stay bit-identical across worker
+    counts."""
     orig = simulator.run_batch
     calls = []
 
@@ -109,6 +111,8 @@ def test_ensembles_hand_run_batch_what_the_tracer_reads(monkeypatch):
                 assert len(cbs) >= workers, (name, workers)
                 for cb in cbs:
                     assert (cb.__module__, cb.__name__) == (f"spidersim.{layer}", "on_step"), name
+                    assert [p.kind for p in inspect.signature(cb).parameters.values()] == [
+                        inspect.Parameter.POSITIONAL_OR_KEYWORD], name  # on_step(step)
     for name in _ensembles(1):
         a, b = results[name, 1], results[name, 3]
         if isinstance(a, np.ndarray):
