@@ -6,12 +6,15 @@ were merged into one loop; the PDE, Feynman-Kac and residual values before
 the ray generator and the vertex operator were written once; the forward
 and three-ray PDE values before the solver marched time on the outside;
 the CLI output digests before the subcommand runners handed their outputs
-to one writer.
+to one writer; the unifying family's digests before a family whose rays
+differ only in their numbers was evaluated in one pass over all rows.
 Any refactor must reproduce them.  Floats are compared at 1e-12 relative (not as byte
 digests, so other CPUs and numpy builds pass too), integer and bool arrays
 exactly.  The CLI files are byte-stable by contract, so they are pinned by
 sha256, and so are the shell-policy stored paths, whose departure and
-shell-entry redraws must land on the same grid points bit for bit.
+shell-entry redraws must land on the same grid points bit for bit, and the
+unifying family's results, which evaluating its rays in one pass must not
+move by a bit.
 """
 
 import hashlib
@@ -156,6 +159,30 @@ def _expression_coefficients():
     })
 
 
+def _unifying_coefficients():
+    """Three rays shaped like the benchmark network: drift a_i*tanh(x),
+    diffusion 1 + b_i*sin(t), weights 1 + c*tanh(l), 1, 1 renormalized.
+    Each coefficient's trees differ between the rays only in their numbers."""
+    return build_coefficient_set({
+        "I": 3,
+        "b": ["0.4*tanh(x)", "0.1*tanh(x)", "0.25*tanh(x)"],
+        "sigma": ["1 + 0.15*sin(t)", "1 + 0.05*sin(t)", "1 + 0.1*sin(t)"],
+        "alpha": {"exprs": ["1 + 0.5*tanh(l)", "1", "1"], "mode": "renormalize"},
+        "bounds": {"a_lower": 0.2, "sigma_lower": 0.5, "b_bound": 0.5,
+                   "sigma_bound": 1.2, "alpha_lip": 1.0},
+    })
+
+
+def _unifying_cases(c):
+    """Terminal states and absorbing first passages from the junction, both policies."""
+    for policy, T, level in (("reflection", 0.05, 0.15), ("shell", 0.01, 0.08)):
+        cfg = _cfg(policy, seed=505, T=T, n=64)
+        res = simulate_batch(c, SpiderState(0.0, 0.0, 2, 0.1), cfg)
+        yield f"batch-{policy}", (res.t, res.x, res.edge, res.l)
+        res = first_hit(c, SpiderState(0.0, 0.0, 1, 0.2), cfg, level)
+        yield f"first_hit-{policy}", (res.theta, res.edge, res.l, res.censored)
+
+
 def _check(actual, expected):
     actual = np.asarray(actual)
     expected = np.asarray(expected, dtype=actual.dtype)
@@ -197,6 +224,12 @@ def test_stored_shell_paths():
     for key, digest in SHELL_PATHS.items():
         got = np.stack([getattr(p, key) for p in paths])
         assert hashlib.sha256(got.tobytes()).hexdigest() == digest, key
+
+
+def test_unifying_family_outputs():
+    got = {name: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+           for name, arrays in _unifying_cases(_unifying_coefficients())}
+    assert got == UNIFYING
 
 
 def test_pde_manufactured_solution_and_residual():
@@ -341,6 +374,14 @@ SHELL_PATHS = {
     "l": "8a9d7bc5fd178445e857725679213b178c02b94788eb286692f32a80ea14f558",
     "contact": "30b5b36a1037da33401760c4bc7faf56233ac31982ba08c6fbc2319739cb9d79",
     "gauss": "47c38fc286982302e6185d1b4179b3eeed9cba7fbeb4bea63d0564cd4af87978",
+}
+
+# sha256 of the concatenated result arrays of each case of _unifying_cases
+UNIFYING = {
+    "batch-reflection": "81bc6ee7fc84dfe305c9a5cb98471269d04fc480b28bb80936d4c20be32b0f7e",
+    "first_hit-reflection": "43a75e468ad7b5c5d3e19f66d22223eb22c94965e2d611c9f88980ab57e1bf7d",
+    "batch-shell": "e00643e1514d38a264feff2a9ca5188ca2b4f53480c8716dedc10131f928a7c7",
+    "first_hit-shell": "1c85e50c72feb5ed56f7ca3f6d8a9172b0a010fe0ba1e7789199d01aa30a4bc7",
 }
 
 PDE = {
