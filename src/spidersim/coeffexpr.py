@@ -101,6 +101,13 @@ class Call(Expr):
     args: tuple[Expr, ...]
 
 
+@dataclass(frozen=True)
+class _RayNum(Expr):
+    """A number that differs between the rays of a fused tree (_unify): the
+    value at a row is values[ray of the row]."""
+    values: tuple[float, ...]
+
+
 def _children(node: Expr) -> tuple[Expr, ...]:
     if isinstance(node, Neg):
         return (node.operand,)
@@ -305,7 +312,7 @@ def variables(node: Expr) -> set[str]:
     return _names(node) & set(_VARIABLES)
 
 
-_VARS = {"t": lambda t, x, l: t, "x": lambda t, x, l: x, "l": lambda t, x, l: l}
+_VARS = {"t": lambda t, x, l, r: t, "x": lambda t, x, l, r: x, "l": lambda t, x, l, r: l}
 # node -> (numpy function, the name in its non-finite-result error, or None: unchecked)
 _OPS = {"+": (operator.add, "addition"), "-": (operator.sub, "subtraction"),
         "*": (operator.mul, "multiplication"), "/": (operator.truediv, "division"),
@@ -332,13 +339,17 @@ def _finite(val):
 
 
 def _build(node: Expr, strict: bool):
-    """node compiled into nested closures of (t, x, l).  Strict closures check
-    every node, in post-order: a zero divisor, a negative sqrt argument, a
-    non-finite result.  Fast ones check only the operands a node in _HIDES
-    could turn finite (raising _Anomaly); evaluate checks the root."""
+    """node compiled into nested closures of (t, x, l, r), r the rows' 0-based
+    ray index (read only by a _RayNum).  Strict closures check every node,
+    in post-order: a zero divisor, a negative sqrt argument, a non-finite
+    result.  Fast ones check only the operands a node in _HIDES could turn
+    finite (raising _Anomaly); evaluate checks the root."""
     if isinstance(node, Num):
         v = np.float64(node.value)
-        return lambda t, x, l: v
+        return lambda t, x, l, r: v
+    if isinstance(node, _RayNum):
+        v = np.array(node.values)
+        return lambda t, x, l, r: v[r]
     if isinstance(node, Var):
         return _VARS[node.name]
     name, args = _name(node), _children(node)
@@ -358,23 +369,26 @@ def _build(node: Expr, strict: bool):
                 raise EvalError(f"non-finite result in {what}")
             return out
     elif name in _HIDES:
-        fs = [f if isinstance(a, (Num, Var)) else (lambda t, x, l, f=f: _finite(f(t, x, l)))
-              for a, f in zip(args, fs)]
+        fs = [f if isinstance(a, (Num, _RayNum, Var))
+              else (lambda t, x, l, r, f=f: _finite(f(t, x, l, r))) for a, f in zip(args, fs)]
     if len(fs) == 1:
         f, = fs
-        return lambda t, x, l: fn(f(t, x, l))
+        return lambda t, x, l, r: fn(f(t, x, l, r))
     if len(fs) == 2:
         f, g = fs
-        return lambda t, x, l: fn(f(t, x, l), g(t, x, l))
-    return lambda t, x, l: fn(*[f(t, x, l) for f in fs])
+        return lambda t, x, l, r: fn(f(t, x, l, r), g(t, x, l, r))
+    return lambda t, x, l, r: fn(*[f(t, x, l, r) for f in fs])
 
 
-def evaluate(node: Expr, t=0.0, x=0.0, l=0.0):
+def evaluate(node: Expr, t=0.0, x=0.0, l=0.0, ray=None):
     """Evaluate with bindings for t, x, l (scalars or broadcastable arrays).
     Runs the node's fast closure, compiled on first use and kept on the node
     (with numpy warnings off when it has a _NOISY node); a non-finite value
     or a broadcast error there re-runs the strict closure, which raises the
-    error of the first failing node."""
+    error of the first failing node.  ray, the 0-based ray index of each
+    row, is for a tree that fuses a family's rays (_fuse): with it given,
+    a value the fast closure cannot vouch for raises _Anomaly instead, and
+    the caller evaluates the rows ray by ray."""
     t = np.asarray(t, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     l = np.asarray(l, dtype=np.float64)
@@ -384,9 +398,11 @@ def evaluate(node: Expr, t=0.0, x=0.0, l=0.0):
         object.__setattr__(node, "_fast", fast)
     try:
         with np.errstate(all="ignore") if fast[1] else _NO_ERRSTATE:
-            out = _finite(fast[0](t, x, l))
+            out = _finite(fast[0](t, x, l, ray))
     except ValueError:
-        out = _build(node, strict=True)(t, x, l)
+        if ray is not None:
+            raise _Anomaly from None
+        out = _build(node, strict=True)(t, x, l, None)
     shape = t.shape if t.shape == x.shape == l.shape else np.broadcast_shapes(t.shape, x.shape, l.shape)
     if not shape:
         return float(out)
@@ -502,6 +518,51 @@ def _evaluator(node: Expr):
     return _compile(node) if variables(node) else evaluate(node)
 
 
+def _unify(nodes) -> Expr | None:
+    """One tree for trees that differ at most in their numbers, each number
+    that differs between them a _RayNum; None when they differ otherwise,
+    or when a _RayNum would sit in the exponent of ^, where numpy takes
+    other paths for an array than for a number (np.power(x, 2.0) squares)."""
+    head = nodes[0]
+    if all(isinstance(n, Num) for n in nodes):
+        values = tuple(n.value for n in nodes)
+        return head if len(set(map(float.hex, values))) == 1 else _RayNum(values)
+    if any(type(n) is not type(head) or _name(n) != _name(head) for n in nodes):
+        return None
+    if isinstance(head, Var):
+        return head
+    kids = [_unify(group) for group in zip(*map(_children, nodes))]
+    if any(k is None for k in kids) or (_name(head) == "^" and _has_ray_num(kids[1])):
+        return None
+    if isinstance(head, Neg):
+        return Neg(*kids)
+    return BinOp(head.op, *kids) if isinstance(head, BinOp) else Call(head.name, tuple(kids))
+
+
+def _has_ray_num(node: Expr) -> bool:
+    return isinstance(node, _RayNum) or any(map(_has_ray_num, _children(node)))
+
+
+def _fuse(exprs: tuple[Expr, ...]):
+    """The I trees exprs of a coefficient as one row-wise evaluator
+    fn(edge, t, x, l) of 1-d rows on the rays edge (1-based): one pass of
+    ``evaluate`` (through the module global) over every row, bit for bit
+    the per-ray values.  fn returns None where that pass sees a non-finite
+    value; the caller then evaluates the rows ray by ray, which raises the
+    error of the first failing ray.  None when the trees do not unify or
+    have no variable (a table)."""
+    node = _unify(exprs)
+    if node is None or not variables(node):
+        return None
+
+    def fn(edge, t, x, l):
+        try:
+            return evaluate(node, t, x, l, edge - 1)
+        except _Anomaly:
+            return None
+    return fn
+
+
 def _alpha(exprs: tuple[Expr, ...], mode: str):
     """The ray weights of I expressions over (t, l): I numbers, evaluated
     once, when no expression has a variable; else an evaluator of 1-d t and
@@ -512,14 +573,19 @@ def _alpha(exprs: tuple[Expr, ...], mode: str):
         if mode == "renormalize":
             if np.any(raw <= 0):
                 raise EvalError("renormalized alpha requires positive raw values")
-            raw = raw / raw.sum(axis=-1, keepdims=True)
+            raw /= raw.sum(axis=-1, keepdims=True)
         return raw
 
     if not any(map(variables, exprs)):
         return tuple(weights(np.array([evaluate(e) for e in exprs])).tolist())
 
     def alpha(t, l):
-        return weights(np.stack([evaluate(e, t, 0.0, l) for e in exprs], axis=-1))
+        # x is read by no weight expression; zeros of the rows' shape spare
+        # every call a broadcast
+        raw, x = np.empty((t.size, len(exprs))), np.zeros(t.shape)
+        for i, e in enumerate(exprs):
+            raw[:, i] = evaluate(e, t, x, l)
+        return weights(raw)
 
     return alpha
 
@@ -534,7 +600,9 @@ def build_coefficient_set(config: dict) -> CoefficientSet:
     Keys: I, b (expressions over t, x, l, one per ray or one for all),
     sigma (same), alpha ({exprs, mode} or a plain list meaning mode "exact";
     expressions over t, l), bounds, and grid (the sampling grid of the
-    admissibility report, which is attached).
+    admissibility report, which is attached).  A b or sigma whose trees
+    unify across the rays is also attached as one row-wise evaluator
+    (_fuse), b_fused or sigma_fused.
     """
     config = require_keys(config, {"I", "b", "sigma", "alpha", "bounds", "grid"}, "network")
     I = num(config, "I", "network", lo=2, integer=True)
@@ -566,6 +634,8 @@ def build_coefficient_set(config: dict) -> CoefficientSet:
         sigma=tuple(_evaluator(e) for e in s_exprs),
         alpha=alpha,
         bounds=bounds,
+        b_fused=_fuse(b_exprs),
+        sigma_fused=_fuse(s_exprs),
     )
     report = validate_coefficients(cset, plan)
     clause_a = report.clause("A")

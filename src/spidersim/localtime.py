@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, TestFunction, named, per_ray, ray_partition
+from .network import CoefficientSet, TestFunction, named
 from .simulator import SpiderPath, grid_step, map_path_blocks, run_paths
 
 __all__ = [
@@ -166,8 +166,7 @@ def _shell_integrand(c: CoefficientSet, selected: np.ndarray, eps: float, t, x, 
     e = edge[rows]
     if c.sigma_table is not None:
         return rows, c.sigma_table[e - 1] ** 2
-    sig = per_ray(ray_partition(c.I, e), c.diffusion, t[rows], np.zeros(rows.size), l[rows])
-    return rows, sig**2
+    return rows, c.diffusion(e, t[rows], np.zeros(rows.size), l[rows]) ** 2
 
 
 def occupation_estimate(p: SpiderPath, c: CoefficientSet, eps: float, t: float,

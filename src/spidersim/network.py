@@ -104,7 +104,9 @@ class CoefficientSet:
     arrays t and l of n points to an (n, I) array of weights.  Evaluators
     must be pure and accept numpy arrays.  b_table (sigma_table,
     alpha_table) holds the I values of b (sigma, alpha) when they are
-    numbers, and is None otherwise.
+    numbers, and is None otherwise.  b_fused (sigma_fused), when given,
+    maps 1-d rows (edge, t, x, l) on mixed rays to the values of b (sigma)
+    in one pass, or to None where it cannot vouch for them.
     """
 
     I: int
@@ -113,6 +115,8 @@ class CoefficientSet:
     alpha: Callable | tuple[float, ...]
     bounds: CoefficientBounds
     validation: "ValidationReport | None" = field(default=None, compare=False)
+    b_fused: Callable | None = field(default=None, repr=False, compare=False)
+    sigma_fused: Callable | None = field(default=None, repr=False, compare=False)
     b_table: np.ndarray | None = field(init=False, repr=False, compare=False)
     sigma_table: np.ndarray | None = field(init=False, repr=False, compare=False)
     alpha_table: np.ndarray | None = field(init=False, repr=False, compare=False)
@@ -131,11 +135,28 @@ class CoefficientSet:
             raise NetworkError(f"alpha table has shape {table.shape}, expected ({self.I},)")
         object.__setattr__(self, "alpha_table", table)
 
-    def drift(self, edge: int, t, x, l):
-        return _evaluate(self.b[edge - 1], t, x, l)
+    def drift(self, edge, t, x, l, parts=None):
+        """b on ray edge at (t, x, l), or row-wise (see _rows)."""
+        return self._rows(self.b, self.b_table, self.b_fused, edge, t, x, l, parts)
 
-    def diffusion(self, edge: int, t, x, l):
-        return _evaluate(self.sigma[edge - 1], t, x, l)
+    def diffusion(self, edge, t, x, l, parts=None):
+        """sigma on ray edge at (t, x, l), or row-wise (see _rows)."""
+        return self._rows(self.sigma, self.sigma_table, self.sigma_fused, edge, t, x, l, parts)
+
+    def _rows(self, fns, table, fused, edge, t, x, l, parts):
+        """fns[edge - 1](t, x, l) for one ray edge.  For 1-d rows with one ray
+        label each: a table lookup, else one pass of the fused evaluator,
+        else (or where that pass returns None) per_ray on parts, the rows'
+        ray_partition, built here when not given."""
+        if np.ndim(edge) == 0:
+            return _evaluate(fns[edge - 1], t, x, l)
+        if table is not None:
+            return table[edge - 1]
+        out = None if fused is None else fused(edge, t, x, l)
+        if out is None:
+            out = per_ray(ray_partition(self.I, edge) if parts is None else parts,
+                          lambda e, *a: _evaluate(fns[e - 1], *a), t, x, l)
+        return out
 
     def alpha_matrix(self, t, l) -> np.ndarray:
         """Weights at the n points of t and l (0-d or 1-d, broadcast

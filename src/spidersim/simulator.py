@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, named, per_ray, ray_partition
+from .network import CoefficientSet, named, ray_partition
 
 __all__ = [
     "SpiderState",
@@ -238,6 +238,15 @@ def _pick_edges(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum.shape[-1] - 1).astype(np.int64) + 1
 
 
+def _rowwise(step: Step, table, coefficient, fused) -> np.ndarray:
+    """A coefficient at every row of step: a table lookup, else one call of
+    coefficient (c.drift or c.diffusion), handed the step's partition unless
+    a fused evaluator takes all rows in one pass."""
+    if table is not None:
+        return table[step.edge - 1]
+    return coefficient(step.edge, step.t, step.x, step.l, None if fused else step.parts)
+
+
 def run_batch(
     c: CoefficientSet,
     cfg: SimConfig,
@@ -256,7 +265,8 @@ def run_batch(
     early when no path is left (at once for an empty batch).
 
     ``on_step(step)`` is called once per step with its Step record.  The
-    kernel reads ``step.parts`` only for drift or diffusion without a table.
+    kernel reads ``step.parts`` only for drift or diffusion with neither a
+    table nor a fused evaluator.
 
     With ``stop_level`` set, absorption is a stop mask on the same loop: at
     the top of every step (and after the last) the paths with x >= stop_level
@@ -333,9 +343,8 @@ def run_batch(
         else:
             g = gaussians[:, k]
         step = Step(k, t, x, edge, l, g, c.I)
-        bv = per_ray(step.parts, c.drift, t, x, l) if c.b_table is None else c.b_table[edge - 1]
-        sv = (per_ray(step.parts, c.diffusion, t, x, l) if c.sigma_table is None
-              else c.sigma_table[edge - 1])
+        bv = _rowwise(step, c.b_table, c.drift, c.b_fused)
+        sv = _rowwise(step, c.sigma_table, c.diffusion, c.sigma_fused)
         y = x + bv * h + sv * sq * g
         if not np.all(np.isfinite(y)):
             raise SimulationError(f"non-finite proposal at step {k}")

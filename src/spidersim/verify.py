@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .network import (CoefficientSet, TestFunction, TfTerm, generator, named, per_ray,
-                      ray_partition, vertex_operator)
+from .network import CoefficientSet, TestFunction, TfTerm, generator, named, vertex_operator
 from .simulator import (
     SimConfig,
     SimulationError,
@@ -286,9 +285,8 @@ def _path_steps(p: SpiderPath, c: CoefficientSet, ks: int, ke: int):
     """Steps ks..ke-1 of a stored path: left-endpoint t, x, edge, l, the dl
     of each step, and the drift and diffusion of each step's ray."""
     t_k, x_k, e_k, l_k = p.times()[ks:ke], p.x[ks:ke], p.edge[ks:ke], p.l[ks:ke]
-    parts = ray_partition(c.I, e_k)
     return (t_k, x_k, e_k, l_k, np.diff(p.l)[ks:ke],
-            per_ray(parts, c.drift, t_k, x_k, l_k), per_ray(parts, c.diffusion, t_k, x_k, l_k))
+            c.drift(e_k, t_k, x_k, l_k), c.diffusion(e_k, t_k, x_k, l_k))
 
 
 def martingale_residual_paths(paths: Sequence[SpiderPath], c: CoefficientSet,

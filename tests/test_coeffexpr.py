@@ -1,5 +1,6 @@
 import random
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from spidersim.coeffexpr import (
     _compile,
+    _fuse,
     BinOp,
     Call,
     ConfigError,
@@ -22,6 +24,7 @@ from spidersim.coeffexpr import (
     pretty,
     variables,
 )
+from spidersim.network import CoefficientBounds, CoefficientSet, per_ray, ray_partition
 
 _FUNCTIONS = [("sin", 1), ("cos", 1), ("exp", 1), ("tanh", 1), ("sqrt", 1),
               ("abs", 1), ("min", 2), ("max", 2), ("clamp", 3)]
@@ -315,10 +318,12 @@ def test_evaluate_matches_the_reference_walk(node, t, x, l):
 ])
 def test_hidden_and_ordered_failures(source, message):
     node = parse(source)
-    with pytest.raises(EvalError) as err:
+    # an overflow in * warns once on each pass (README), here on both calls
+    overflows = pytest.warns(RuntimeWarning, match="overflow") if "1e308" in source else nullcontext()
+    with overflows, pytest.raises(EvalError) as err:
         evaluate(node, x=1.0)
     assert str(err.value) == message
-    with pytest.raises(EvalError, match=message):  # again, on the closure kept on the node
+    with overflows, pytest.raises(EvalError, match=message):  # again, on the closure kept on the node
         evaluate(node, x=np.array([0.5, 1.0]))
 
 
@@ -339,3 +344,130 @@ def test_an_input_is_returned_as_a_copy():
     assert not np.shares_memory(out, x)
     assert evaluate(parse("t"), np.zeros((2, 1)), x).shape == (2, 3)
     assert type(evaluate(parse("x"), x=2.0)) is float
+
+
+# -- a family's rays fused into one tree ------------------------------------------
+
+
+def _kids(node):
+    if isinstance(node, Neg):
+        return (node.operand,)
+    return (node.left, node.right) if isinstance(node, BinOp) else getattr(node, "args", ())
+
+
+def _renumber(node, numbers):
+    """node with its numbers, in preorder, taken from the iterator numbers."""
+    if isinstance(node, Num):
+        return Num(next(numbers))
+    if isinstance(node, Neg):
+        return Neg(_renumber(node.operand, numbers))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _renumber(node.left, numbers), _renumber(node.right, numbers))
+    if isinstance(node, Call):
+        return Call(node.name, tuple(_renumber(a, numbers) for a in node.args))
+    return node
+
+
+def _count_numbers(node):
+    return isinstance(node, Num) + sum(map(_count_numbers, _kids(node)))
+
+
+def _exponents(node):
+    """The exponents of node's ^ nodes, in preorder."""
+    own = [node.right] if isinstance(node, BinOp) and node.op == "^" else []
+    return own + [e for k in _kids(node) for e in _exponents(k)]
+
+
+def _row_set(trees, fused="auto"):
+    """The rays' trees as b of a CoefficientSet, with the fused evaluator
+    of coeffexpr (or the one given)."""
+    I = len(trees)
+    return CoefficientSet(I=I, b=tuple(map(_compile, trees)), sigma=(1.0,) * I,
+                          alpha=(1.0 / I,) * I, b_fused=_fuse(trees) if fused == "auto" else fused,
+                          bounds=CoefficientBounds(a_lower=0.1, sigma_lower=0.5, b_bound=1.0,
+                                                   sigma_bound=1.0, alpha_lip=1.0))
+
+
+def _per_ray_reference(trees, edge, t, x, l):
+    return per_ray(ray_partition(len(trees), edge), lambda e, *a: evaluate(trees[e - 1], *a), t, x, l)
+
+
+_NUMBERS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 800.0, 1e300, np.inf])
+
+
+@st.composite
+def _families(draw):
+    """A random tree copied onto 2 or 3 rays, each copy after the first with
+    numbers of its own, and 1-8 rows, each on a random ray."""
+    tree = draw(_trees)
+    I, n, count = draw(st.integers(2, 3)), draw(st.integers(1, 8)), _count_numbers(tree)
+    trees = [tree] + [_renumber(tree, iter(draw(st.lists(_NUMBERS, min_size=count, max_size=count))))
+                      for _ in range(I - 1)]
+    edge = np.array(draw(st.lists(st.integers(1, I), min_size=n, max_size=n)))
+    t, x, l = (np.array(draw(st.lists(st.sampled_from(_SPECIAL) | st.floats(-5, 5),
+                                      min_size=n, max_size=n)), dtype=np.float64) for _ in "txl")
+    return tuple(trees), edge, t, x, l
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_families())
+def test_fused_rows_match_per_ray_evaluation(family):
+    """The row-wise drift of a fused family equals per_ray over the rays'
+    own trees bit for bit, or raises the same EvalError; the trees fuse
+    unless a number in an exponent differs between the rays (or they have
+    no variable)."""
+    trees, edge, t, x, l = family
+    exponent_differs = any(len(set(map(repr, group))) > 1 for group in zip(*map(_exponents, trees)))
+    fused = _fuse(trees)
+    assert (fused is None) == (exponent_differs or not variables(trees[0]))
+    c = _row_set(trees)
+    assert (_outcome(lambda *_: c.drift(edge, t, x, l), None, ())
+            == _outcome(lambda *_: _per_ray_reference(trees, edge, t, x, l), None, ()))
+
+
+@pytest.mark.parametrize("sources, fuses", [
+    (["0.1*tanh(x)", "0.2*tanh(x)", "0.3*tanh(x)"], True),
+    (["1 + 0.1*sin(t)", "1 + 0.1*sin(t)"], True),  # equal trees
+    (["2^x", "2.5^x"], True),  # a per-ray base
+    (["x^2", "x^2.5"], False),  # a per-ray exponent: np.power(x, 2.0) squares
+    (["x^(2*1)", "x^(2.5*1)"], False),
+    (["x^2", "x^2"], True),
+    (["tanh(x)", "sin(x)"], False),
+    (["x + 1", "1 + x"], False),
+    (["x", "t"], False),
+    (["0.5*x", "-0.5*x"], False),  # Neg(0.5) is not a number
+    (["1", "2"], False),  # numbers: a table
+])
+def test_which_families_fuse(sources, fuses):
+    assert (_fuse(tuple(map(parse, sources))) is not None) == fuses
+
+
+def test_a_per_ray_exponent_would_change_the_bits():
+    """Why x^2 and x^2.5 stay apart: an array exponent takes another numpy
+    path than a number does."""
+    trees = (parse("x^2"), parse("x^2.5"))
+    x = np.linspace(0.1, 3.0, 1000)
+    edge = np.ones(1000, dtype=np.int64)
+    assert _fuse(trees) is None
+    assert np.array_equal(_row_set(trees).drift(edge, 0.0 * x, x, 0.0 * x),
+                          evaluate(trees[0], x=x))
+
+
+@pytest.mark.parametrize("sources, message", [
+    (["1/(x - 3)", "1/(x - 2)"], "division by zero"),
+    (["exp(1*x)", "exp(800*x)"], "non-finite result in exp"),
+    (["0.1*10*tanh(x)", "1e308*10*tanh(x)"], "non-finite result in multiplication"),
+])
+def test_a_failure_on_ray_two_only_still_raises(sources, message):
+    """A value that is finite on ray 1 and not on ray 2 raises ray 2's
+    error when ray 2 has rows, and stays out of the way when it has none."""
+    trees = tuple(map(parse, sources))
+    c = _row_set(trees)
+    assert c.b_fused is not None
+    x, zeros = np.array([1.0, 2.0, 2.0]), np.zeros(3)
+    overflows = pytest.warns(RuntimeWarning) if "1e308" in sources[1] else nullcontext()
+    with overflows, pytest.raises(EvalError) as err:
+        c.drift(np.array([1, 2, 1]), zeros, x, zeros)
+    assert str(err.value) == message
+    assert np.array_equal(c.drift(np.array([1, 1, 1]), zeros, x, zeros),
+                          evaluate(trees[0], zeros, x, zeros))

@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from spidersim import simulator
+from spidersim import network, simulator
 from spidersim.coeffexpr import build_coefficient_set
 from spidersim.localtime import occupation_batch, oracle_path
 from spidersim.network import CoefficientBounds, CoefficientSet, constant_coefficients
@@ -457,6 +459,44 @@ def test_constant_family_builds_no_partition_nobody_reads(monkeypatch):
                             cfg, 0.05)
     assert vals.size == 20 and (vals > 0).any()  # the paths did cross the shell
     assert built == []
+
+
+def _unifying_family():
+    """Three rays shaped like the benchmark network, whose drift and diffusion
+    trees differ only in their numbers: each is evaluated in one pass."""
+    return build_coefficient_set({
+        "I": 3, "b": [f"{a}*tanh(x)" for a in (0.4, 0.1, 0.25)],
+        "sigma": [f"1 + {a}*sin(t)" for a in (0.15, 0.05, 0.1)],
+        "alpha": {"exprs": ["1 + 0.5*tanh(l)", "1", "1"], "mode": "renormalize"},
+        "bounds": _BOUNDS})
+
+
+def _unifying_runs(c, workers=1):
+    cfg = SimConfig(h=1e-3, T=0.05, n_paths=40, seed=3)
+    init = SpiderState(0.0, 0.0, 1, 0.0)
+    return simulate_batch(c, init, cfg, workers), first_hit(c, init, cfg, 0.15, workers)
+
+
+def test_unifying_family_builds_no_partition(monkeypatch):
+    """simulate_batch and first_hit evaluate a fused family on all rows at
+    once: neither the kernel nor CoefficientSet splits a step into rays."""
+    c = _unifying_family()
+    assert c.b_fused is not None and c.sigma_fused is not None
+    built = _spy_partitions(monkeypatch)
+    monkeypatch.setattr(network, "ray_partition", lambda n_rays, edge: built.append(edge))
+    batch, hit = _unifying_runs(c)
+    assert len(set(batch.edge)) == 3 and 0 < hit.censored.sum() < 40  # the rows mixed rays
+    assert built == []
+
+
+def test_unifying_family_gives_the_same_bytes_for_any_worker_count():
+    c = _unifying_family()
+    one, three = _unifying_runs(c, 1), _unifying_runs(c, 3)
+    for a, b in zip(one, three):
+        for f in fields(a):
+            got, want = getattr(b, f.name), getattr(a, f.name)
+            if want is not None:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
 
 
 @pytest.mark.parametrize("t0, h, t, k", [
