@@ -106,7 +106,8 @@ class CoefficientSet:
     alpha_table) holds the I values of b (sigma, alpha) when they are
     numbers, and is None otherwise.  b_fused (sigma_fused), when given,
     maps 1-d rows (edge, t, x, l) on mixed rays to the values of b (sigma)
-    in one pass, or to None where it cannot vouch for them.
+    in one pass, or to None where it cannot vouch for them; a copy that
+    replaces b (sigma) must replace it too.
     """
 
     I: int

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spidersim.coeffexpr import (
+    _children,
     _compile,
     _fuse,
     BinOp,
@@ -349,12 +350,6 @@ def test_an_input_is_returned_as_a_copy():
 # -- a family's rays fused into one tree ------------------------------------------
 
 
-def _kids(node):
-    if isinstance(node, Neg):
-        return (node.operand,)
-    return (node.left, node.right) if isinstance(node, BinOp) else getattr(node, "args", ())
-
-
 def _renumber(node, numbers):
     """node with its numbers, in preorder, taken from the iterator numbers."""
     if isinstance(node, Num):
@@ -369,21 +364,20 @@ def _renumber(node, numbers):
 
 
 def _count_numbers(node):
-    return isinstance(node, Num) + sum(map(_count_numbers, _kids(node)))
+    return isinstance(node, Num) + sum(map(_count_numbers, _children(node)))
 
 
 def _exponents(node):
     """The exponents of node's ^ nodes, in preorder."""
     own = [node.right] if isinstance(node, BinOp) and node.op == "^" else []
-    return own + [e for k in _kids(node) for e in _exponents(k)]
+    return own + [e for k in _children(node) for e in _exponents(k)]
 
 
-def _row_set(trees, fused="auto"):
-    """The rays' trees as b of a CoefficientSet, with the fused evaluator
-    of coeffexpr (or the one given)."""
+def _row_set(trees):
+    """The rays' trees as b of a CoefficientSet, with their fused evaluator."""
     I = len(trees)
     return CoefficientSet(I=I, b=tuple(map(_compile, trees)), sigma=(1.0,) * I,
-                          alpha=(1.0 / I,) * I, b_fused=_fuse(trees) if fused == "auto" else fused,
+                          alpha=(1.0 / I,) * I, b_fused=_fuse(trees),
                           bounds=CoefficientBounds(a_lower=0.1, sigma_lower=0.5, b_bound=1.0,
                                                    sigma_bound=1.0, alpha_lip=1.0))
 
@@ -440,17 +434,6 @@ def test_fused_rows_match_per_ray_evaluation(family):
 ])
 def test_which_families_fuse(sources, fuses):
     assert (_fuse(tuple(map(parse, sources))) is not None) == fuses
-
-
-def test_a_per_ray_exponent_would_change_the_bits():
-    """Why x^2 and x^2.5 stay apart: an array exponent takes another numpy
-    path than a number does."""
-    trees = (parse("x^2"), parse("x^2.5"))
-    x = np.linspace(0.1, 3.0, 1000)
-    edge = np.ones(1000, dtype=np.int64)
-    assert _fuse(trees) is None
-    assert np.array_equal(_row_set(trees).drift(edge, 0.0 * x, x, 0.0 * x),
-                          evaluate(trees[0], x=x))
 
 
 @pytest.mark.parametrize("sources, message", [

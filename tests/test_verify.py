@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spidersim import simulator, verify
+from spidersim.coeffexpr import build_coefficient_set
 from spidersim.network import CoefficientSet, constant_coefficients
 from spidersim.simulator import (SimConfig, SimulationError, SpiderState, run_paths,
                                  simulate_batch, simulate_path)
@@ -38,6 +39,21 @@ def test_ito_residual_exact_for_constant_and_identity():
     assert ito_residual(p, c, constant_function(2, 4.0)) == 0.0
     assert ito_residual(p, c, identity_function(2)) < 1e-12
     assert p.contact.any()  # the identity check covered vertex visits
+
+
+@pytest.mark.parametrize("fused", [False, True])
+@pytest.mark.parametrize("label", [0, 3])
+def test_a_stored_ray_label_outside_the_family_is_an_error(fused, label):
+    """A table or a fused evaluator indexes by label, where label 0 would
+    silently read ray I: the stored path's labels are checked first."""
+    c = _c() if not fused else build_coefficient_set({
+        "I": 2, "b": ["0.1*tanh(x)", "0.2*tanh(x)"], "sigma": ["1 + 0*x", "1.5 + 0*x"],
+        "alpha": ["0.5", "0.5"], "bounds": {"sigma_bound": 1.5}})
+    assert (c.b_fused is not None) == fused
+    p = simulate_path(c, SpiderState(0.0, 0.2, 1, 0.0), SimConfig(h=1e-3, T=0.01, seed=3))
+    p.edge[3] = label
+    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+        ito_residual(p, c, identity_function(2))
 
 
 def test_ito_residual_shrinks_with_h_on_matched_skeletons():
