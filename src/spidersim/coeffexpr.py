@@ -413,11 +413,13 @@ def evaluate(node: Expr, t=0.0, x=0.0, l=0.0, ray=None):
 
 def _compile(node: Expr, names: tuple[str, ...] = _VARIABLES):
     """Callable of the variables ``names``, in that order; the others are 0.0.
-    Calls ``evaluate`` through the module global, where wrappers see it."""
+    Calls ``evaluate`` through the module global, where wrappers see it, and
+    keeps the tree as ``fn.node`` (CoefficientSet fuses a family's trees)."""
     pick = operator.itemgetter(*(names.index(v) if v in names else len(names) for v in _VARIABLES))
 
     def fn(*args):
         return evaluate(node, *pick(args + (0.0,)))
+    fn.node = node
     return fn
 
 
@@ -519,28 +521,31 @@ def _evaluator(node: Expr):
 
 
 def _unify(nodes) -> Expr | None:
-    """One tree for trees that differ at most in their numbers, each number
-    that differs between them a _RayNum; None when they differ otherwise,
-    or when a _RayNum would sit in the exponent of ^, where numpy takes
-    other paths for an array than for a number (np.power(x, 2.0) squares)."""
+    """One tree for trees that differ at most in their parts without a
+    variable.  Each such part is evaluated on its own ray as a number, as
+    the per-ray pass computes it, and becomes a Num, or a _RayNum where the
+    rays' numbers differ.  None when the trees differ otherwise, when such
+    a part raises, or when a _RayNum would be an operand of ^: numpy takes
+    other paths for an array there than for a number (np.power(x, 2.0)
+    squares)."""
+    if not any(map(variables, nodes)):
+        try:
+            with np.errstate(all="ignore"):
+                values = tuple(evaluate(n) for n in nodes)
+        except EvalError:
+            return None
+        return Num(values[0]) if len(set(map(float.hex, values))) == 1 else _RayNum(values)
     head = nodes[0]
-    if all(isinstance(n, Num) for n in nodes):
-        values = tuple(n.value for n in nodes)
-        return head if len(set(map(float.hex, values))) == 1 else _RayNum(values)
     if any(type(n) is not type(head) or _name(n) != _name(head) for n in nodes):
         return None
     if isinstance(head, Var):
         return head
     kids = [_unify(group) for group in zip(*map(_children, nodes))]
-    if any(k is None for k in kids) or (_name(head) == "^" and _has_ray_num(kids[1])):
+    if any(k is None for k in kids) or (_name(head) == "^" and any(isinstance(k, _RayNum) for k in kids)):
         return None
     if isinstance(head, Neg):
         return Neg(*kids)
     return BinOp(head.op, *kids) if isinstance(head, BinOp) else Call(head.name, tuple(kids))
-
-
-def _has_ray_num(node: Expr) -> bool:
-    return isinstance(node, _RayNum) or any(map(_has_ray_num, _children(node)))
 
 
 def _fuse(exprs: tuple[Expr, ...]):
@@ -600,9 +605,8 @@ def build_coefficient_set(config: dict) -> CoefficientSet:
     Keys: I, b (expressions over t, x, l, one per ray or one for all),
     sigma (same), alpha ({exprs, mode} or a plain list meaning mode "exact";
     expressions over t, l), bounds, and grid (the sampling grid of the
-    admissibility report, which is attached).  A b or sigma whose trees
-    unify across the rays is also attached as one row-wise evaluator
-    (_fuse), b_fused or sigma_fused.
+    admissibility report, which is attached).  The set fuses a b or sigma
+    whose trees unify across the rays (_fuse) from the compiled evaluators.
     """
     config = require_keys(config, {"I", "b", "sigma", "alpha", "bounds", "grid"}, "network")
     I = num(config, "I", "network", lo=2, integer=True)
@@ -634,8 +638,6 @@ def build_coefficient_set(config: dict) -> CoefficientSet:
         sigma=tuple(_evaluator(e) for e in s_exprs),
         alpha=alpha,
         bounds=bounds,
-        b_fused=_fuse(b_exprs),
-        sigma_fused=_fuse(s_exprs),
     )
     report = validate_coefficients(cset, plan)
     clause_a = report.clause("A")

@@ -88,6 +88,15 @@ class CoefficientBounds:
             raise NetworkError("need a_lower > 0")
 
 
+def _fused(fns):
+    """One row-wise evaluator of compiled expressions fns, each keeping its
+    tree as fn.node, when the trees fuse across the rays; else None."""
+    if not all(hasattr(f, "node") for f in fns):
+        return None
+    from .coeffexpr import _fuse  # coeffexpr imports this module
+    return _fuse(tuple(f.node for f in fns))
+
+
 def _evaluate(fn, t, x, l) -> np.ndarray:
     """fn(t, x, l) as a float64 array; a number fn is a constant coefficient."""
     if callable(fn):
@@ -104,10 +113,10 @@ class CoefficientSet:
     arrays t and l of n points to an (n, I) array of weights.  Evaluators
     must be pure and accept numpy arrays.  b_table (sigma_table,
     alpha_table) holds the I values of b (sigma, alpha) when they are
-    numbers, and is None otherwise.  b_fused (sigma_fused), when given,
-    maps 1-d rows (edge, t, x, l) on mixed rays to the values of b (sigma)
-    in one pass, or to None where it cannot vouch for them; a copy that
-    replaces b (sigma) must replace it too.
+    numbers, and is None otherwise.  b_fused (sigma_fused) maps 1-d rows
+    (edge, t, x, l) on mixed rays to the values of b (sigma) in one pass,
+    or to None where it cannot vouch for them, when b (sigma) is compiled
+    expressions whose trees fuse (coeffexpr._fuse), and is None otherwise.
     """
 
     I: int
@@ -116,10 +125,10 @@ class CoefficientSet:
     alpha: Callable | tuple[float, ...]
     bounds: CoefficientBounds
     validation: "ValidationReport | None" = field(default=None, compare=False)
-    b_fused: Callable | None = field(default=None, repr=False, compare=False)
-    sigma_fused: Callable | None = field(default=None, repr=False, compare=False)
     b_table: np.ndarray | None = field(init=False, repr=False, compare=False)
     sigma_table: np.ndarray | None = field(init=False, repr=False, compare=False)
+    b_fused: Callable | None = field(init=False, repr=False, compare=False)
+    sigma_fused: Callable | None = field(init=False, repr=False, compare=False)
     alpha_table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -131,6 +140,7 @@ class CoefficientSet:
             fns = getattr(self, name)
             object.__setattr__(self, f"{name}_table", None if any(map(callable, fns))
                                else np.array(fns, dtype=np.float64))
+            object.__setattr__(self, f"{name}_fused", _fused(fns))
         table = None if callable(self.alpha) else np.array(self.alpha, dtype=np.float64)
         if table is not None and table.shape != (self.I,):
             raise NetworkError(f"alpha table has shape {table.shape}, expected ({self.I},)")
@@ -146,9 +156,10 @@ class CoefficientSet:
 
     def _rows(self, fns, table, fused, edge, t, x, l, parts):
         """fns[edge - 1](t, x, l) for one ray edge.  For 1-d rows with one ray
-        label each: a table lookup, else one pass of the fused evaluator,
-        else (or where that pass returns None) per_ray on parts, the rows'
-        ray_partition, built here when not given."""
+        label each, every label in 1..I (a table or a fused evaluator reads
+        label 0 as ray I unchecked): a table lookup, else one pass of the
+        fused evaluator, else (or where that pass returns None) per_ray on
+        parts, the rows' ray_partition, built here when not given."""
         if np.ndim(edge) == 0:
             return _evaluate(fns[edge - 1], t, x, l)
         if table is not None:

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .network import CoefficientSet, TestFunction, TfTerm, generator, named, vertex_operator
+from .network import (CoefficientSet, NetworkError, TestFunction, TfTerm, generator, named,
+                      vertex_operator)
 from .simulator import (
     SimConfig,
     SimulationError,
@@ -286,7 +287,7 @@ def _path_steps(p: SpiderPath, c: CoefficientSet, ks: int, ke: int):
     of each step, and the drift and diffusion of each step's ray."""
     t_k, x_k, e_k, l_k = p.times()[ks:ke], p.x[ks:ke], p.edge[ks:ke], p.l[ks:ke]
     if e_k.size and not (1 <= e_k.min() and e_k.max() <= c.I):  # a table would wrap label 0
-        raise ValueError(f"stored path has a ray label outside 1..{c.I}")
+        raise NetworkError(f"stored path has a ray label outside 1..{c.I}")
     return (t_k, x_k, e_k, l_k, np.diff(p.l)[ks:ke],
             c.drift(e_k, t_k, x_k, l_k), c.diffusion(e_k, t_k, x_k, l_k))
 

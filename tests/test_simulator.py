@@ -424,8 +424,15 @@ def _spy_partitions(monkeypatch) -> list:
 @pytest.mark.parametrize("family", ["constant", "expressions"])
 def test_on_step_gets_the_steps_ray_partition(family, monkeypatch):
     """step.parts is the step's ray partition, built at most once per step:
-    by the kernel for an expression family, on first read for a constant one."""
+    by the kernel for an expression family whose trees do not fuse, on
+    first read for a constant one."""
     c = _constant_families()[family]
+    if family == "expressions":  # ray 2 spells 0*x as x*0: the rays' trees do not fuse
+        def spell(values):
+            return [f"{v} + {'x*0' if e == 2 else '0*x'}" for e, v in enumerate(values, 1)]
+        c = build_coefficient_set({"I": 3, "b": spell(_B), "sigma": spell(_SIGMA),
+                                   "alpha": list(map(str, _ALPHA)), "bounds": _BOUNDS})
+        assert c.b_fused is None and c.sigma_fused is None
     c = CoefficientSet(I=3, b=c.b, sigma=c.sigma, bounds=c.bounds,
                        alpha=(0.6, 0.4, 0.0))  # ray 3 is never drawn
     built = _spy_partitions(monkeypatch)

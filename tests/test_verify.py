@@ -5,7 +5,7 @@ import pytest
 
 from spidersim import simulator, verify
 from spidersim.coeffexpr import build_coefficient_set
-from spidersim.network import CoefficientSet, constant_coefficients
+from spidersim.network import CoefficientSet, NetworkError, constant_coefficients
 from spidersim.simulator import (SimConfig, SimulationError, SpiderState, run_paths,
                                  simulate_batch, simulate_path)
 from spidersim.verify import (
@@ -52,7 +52,7 @@ def test_a_stored_ray_label_outside_the_family_is_an_error(fused, label):
     assert (c.b_fused is not None) == fused
     p = simulate_path(c, SpiderState(0.0, 0.2, 1, 0.0), SimConfig(h=1e-3, T=0.01, seed=3))
     p.edge[3] = label
-    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+    with pytest.raises(NetworkError, match=r"outside 1\.\.2"):
         ito_residual(p, c, identity_function(2))
 
 
