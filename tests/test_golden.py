@@ -7,14 +7,16 @@ the ray generator and the vertex operator were written once; the forward
 and three-ray PDE values before the solver marched time on the outside;
 the CLI output digests before the subcommand runners handed their outputs
 to one writer; the unifying family's digests before a family whose rays
-differ only in their numbers was evaluated in one pass over all rows.
+differ only in their numbers was evaluated in one pass over all rows;
+the manufactured outputs on coefficients that vary with t, x and l before
+the manufactured sources were evaluated in one pass over all rows.
 Any refactor must reproduce them.  Floats are compared at 1e-12 relative (not as byte
 digests, so other CPUs and numpy builds pass too), integer and bool arrays
 exactly.  The CLI files are byte-stable by contract, so they are pinned by
 sha256, and so are the shell-policy stored paths, whose departure and
 shell-entry redraws must land on the same grid points bit for bit, and the
-unifying family's results, which evaluating its rays in one pass must not
-move by a bit.
+unifying family's results and the varying-coefficient manufactured
+outputs, which evaluating rays in one pass must not move by a bit.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ import numpy as np
 
 from spidersim.cli import SUBCOMMANDS, main
 from spidersim.coeffexpr import build_coefficient_set
-from spidersim.feynman_kac import FKProblem, fk_estimate
+from spidersim.feynman_kac import FKProblem, _per_path_values, fk_estimate
 from spidersim.network import CoefficientBounds, CoefficientSet, TestFunction, TfTerm, constant_coefficients
 from spidersim.pde import (PdeGrid, PdeProblem, PdeSolution, flat_profile_poly, manufactured_backward,
                            residual, solve)
@@ -159,6 +161,37 @@ def _expression_coefficients():
     })
 
 
+def _varying_manufactured():
+    """A manufactured problem on _expression_coefficients, whose drift and
+    diffusion vary with t, x and l and differ between the rays; the truth's
+    ray-dependent terms vanish at x = 0."""
+    R = K = 1.5
+    c = _expression_coefficients()
+    truth = TestFunction(I=3, terms=(
+        TfTerm(edge_coeffs=(1.0, -0.5, 0.7), x_poly=flat_profile_poly(R, 1),
+               l_poly=(1.0, 0.3), time_poly=(1.0, -0.4)),
+        TfTerm(edge_coeffs=(0.3, 0.6, -0.2), x_poly=flat_profile_poly(R, 2),
+               l_poly=(0.5, 0.0, 0.1), sin_omega=1.3, sin_phase=0.4),
+        TfTerm(edge_coeffs=(1.0, 1.0, 1.0), x_poly=(1.0,), l_poly=(0.2, 0.5),
+               time_poly=(0.5, 0.2)),
+    ))
+    return c, manufactured_backward(c, truth, 1.0, R, K)
+
+
+def _varying_manufactured_outputs():
+    """_per_path_values from the vertex region, solve(...).values and the
+    residual of that solution, each as bytes."""
+    c, prob = _varying_manufactured()
+    fkp = FKProblem(g_edge=prob.g_edge, h_edge=prob.h_edge, h0=prob.h0)
+    cfg = SimConfig(h=1e-2, T=1.0, n_paths=64, seed=21)
+    vals = _per_path_values(fkp, c, SpiderState(0.5, 0.05, 3, 0.1), cfg, 0, cfg.n_paths)
+    sol = solve(prob, PdeGrid(12, 12, 6))
+    r = residual(sol)
+    yield "per_path_values", vals.tobytes()
+    yield "solve", sol.values.tobytes()
+    yield "residual", np.array([r[k] for k in sorted(r)]).tobytes()
+
+
 def _unifying_coefficients():
     """Three rays shaped like the benchmark network: drift a_i*tanh(x),
     diffusion 1 + b_i*sin(t), weights 1 + c*tanh(l), 1, 1 renormalized.
@@ -263,6 +296,11 @@ def test_fk_estimate_on_manufactured_sources():
     fkp = FKProblem(g_edge=prob.g_edge, h_edge=prob.h_edge, h0=prob.h0)
     est = fk_estimate(fkp, c, (0.8, 0.7, 2, 0.3), SimConfig(h=1e-2, T=1.0, n_paths=200, seed=5))
     _check([est.mean, est.stderr], PDE["fk"])
+
+
+def test_manufactured_outputs_on_varying_coefficients():
+    got = {name: hashlib.sha256(raw).hexdigest() for name, raw in _varying_manufactured_outputs()}
+    assert got == VARYING_MANUFACTURED
 
 
 def test_battery_residuals_on_expression_coefficients():
@@ -426,6 +464,13 @@ PDE = {
                   0.0, 0.05, 0.1],
     "three_ray_field": [0.026382549754002577, 0.10570608447943919, 0.27833681257752946,
                         0.47526387923588187],
+}
+
+# sha256 of each output of _varying_manufactured_outputs
+VARYING_MANUFACTURED = {
+    "per_path_values": "158cf90b721e790e1d1160c25e21c51c9c3f2f27bfcdc72bfcbc52c48808f732",
+    "solve": "e172cfd392e3320a80b98c348162ed03106779e71b52256dd9d4bd6d96252a28",
+    "residual": "3f8e0702ea55801980ccd89ab932a0e896ff9795a0a3f88cacdba99c001ae00a",
 }
 
 BATTERY = {
