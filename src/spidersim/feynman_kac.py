@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .network import CoefficientSet, named, per_ray, ray_partition
-from .pde import PdeGrid, PdeProblem, PdeSolution, solve
-from .simulator import SimConfig, SimulationError, SpiderState, map_path_blocks, run_paths
+from .pde import PdeGrid, PdeProblem, PdeSolution, solve, source_rows
+from .simulator import SimConfig, SimulationError, SpiderState, Step, map_path_blocks, run_paths
 
 __all__ = ["FKProblem", "FKEstimate", "FKComparisonRow", "fk_estimate", "fk_vs_pde"]
 
@@ -62,11 +62,18 @@ class FKProblem:
         parts = ray_partition(len(self.g_edge), edge_arr)
         return per_ray(parts, lambda e, *a: self.g_edge[e - 1](*a), x, l)
 
-    def running(self, parts, t, x, l) -> np.ndarray:
-        """h_i(t, x, l) on each row's ray i; parts is the rows' ray_partition."""
+    def running(self, step: Step, c: CoefficientSet) -> np.ndarray:
+        """h_i(t, x, l) on each row of step, i the row's ray, for a step of a
+        run on c whose rows share one time (a run from one query).  Sources
+        built for c (source_rows) are one call over all rows, with the
+        step's b and sigma and the time factors computed once, on
+        step.t[:1]; other sources go ray by ray on step.parts."""
         if self.h_edge is None:
-            return np.zeros_like(x)
-        return per_ray(parts, lambda e, *a: self.h_edge[e - 1](*a), t, x, l)
+            return np.zeros_like(step.x)
+        rows = source_rows(self.h_edge, c)
+        if rows is not None:
+            return rows(step.edge, step.t[:1], step.x, step.l, step.b, step.sigma)
+        return per_ray(step.parts, lambda e, *a: self.h_edge[e - 1](*a), step.t, step.x, step.l)
 
     def vertex_cost(self, t, l) -> np.ndarray:
         if self.h0 is None:
@@ -103,7 +110,7 @@ def _per_path_values(prob: FKProblem, c: CoefficientSet, init: SpiderState, cfg:
     acc = np.zeros(hi - lo)
 
     def on_step(step):
-        acc_step = prob.running(step.parts, step.t, step.x, step.l) * cfg.h
+        acc_step = prob.running(step, c) * cfg.h
         if prob.h0 is not None:
             hit = step.dl > 0
             if hit.any():
@@ -139,8 +146,9 @@ def fk_vs_pde(prob: FKProblem, c: CoefficientSet, queries: Sequence[tuple],
     the query (first-order scheme, so the gap estimates the fine-grid
     error), inflated by RICHARDSON_FACTOR.  A row passes when
     |MC - PDE| <= 3 stderr + budget.  Every query, the grid's coarsening and
-    the problem (FKProblem.check on the truncation box, from the earliest
-    query time) are checked before the solves.
+    the problem are checked before the solves: FKProblem.check as each
+    query's fk_estimate runs it, and on the truncation box from the
+    earliest query time.
     """
     for k, q in enumerate(queries):
         if q[0] >= cfg.T or not 1 <= q[2] <= c.I:
@@ -153,6 +161,7 @@ def fk_vs_pde(prob: FKProblem, c: CoefficientSet, queries: Sequence[tuple],
             cfg.n_steps(q[0])
         except (ValueError, SimulationError) as exc:  # the run's start is this query's t
             raise named(exc, f"queries[{k}][0]", "cfg.T", "cfg.h")
+        prob.check(c.I, q[0], cfg.T)
     prob.check(c.I, min((q[0] for q in queries), default=0.0), cfg.T, R, K)
     coarse_grid = grid.coarsened()
     pde_prob = PdeProblem(coefficients=c, T=cfg.T, R=R, K=K, g_edge=prob.g_edge,

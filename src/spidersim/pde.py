@@ -42,6 +42,7 @@ __all__ = [
     "solve",
     "residual",
     "manufactured_backward",
+    "source_rows",
     "flat_profile_poly",
 ]
 
@@ -68,6 +69,30 @@ def _on_rays(fn, I: int, t, x, l) -> np.ndarray:
     shape = np.broadcast_shapes(np.shape(x), np.shape(l))
     return np.stack([np.broadcast_to(fn(e, t, x, l), shape) for e in range(1, I + 1)],
                     axis=1).T.copy()
+
+
+def source_rows(h_edge, c: CoefficientSet) -> Callable | None:
+    """The row-wise source rows(edge, t, x, l, b, sigma) that every entry of
+    h_edge carries, with b and sigma the drift and diffusion of each row's
+    ray, when those entries were built for c itself (manufactured_backward
+    builds them); else None, and h_edge is evaluated ray by ray."""
+    rows = getattr(h_edge[0], "rows", None) if h_edge else None
+    if rows is None or any(getattr(h, "rows", None) is not rows
+                           or getattr(h, "coefficients", None) is not c for h in h_edge):
+        return None
+    return rows
+
+
+def _source_on_rays(problem: PdeProblem, t, x, l, b, sigma) -> np.ndarray:
+    """The sources on the (node, ray, slice) grid of _on_rays, given the
+    drift b and diffusion sigma there: one call of the h_edge entries'
+    row-wise source, with the ray label on the ray axis, else per ray."""
+    c = problem.coefficients
+    rows = source_rows(problem.h_edge, c)
+    if rows is None:
+        return _on_rays(problem.source, c.I, t, x, l)
+    edge = np.arange(1, c.I + 1)[None, :, None]
+    return rows(edge, t, np.reshape(x, (-1, 1, 1)), np.reshape(l, (1, 1, -1)), b, sigma)
 
 
 @dataclass(frozen=True)
@@ -255,8 +280,10 @@ def solve(problem: PdeProblem, grid: PdeGrid) -> PdeSolution:
         t = tg[m]  # level where the spatial operator is enforced
         m_known = m + 1 if backward else m - 1
         # (node, ray, slice) arrays
-        a = 0.5 * _on_rays(c.diffusion, I, t, xs, ls)**2 / dx**2
-        bet = _on_rays(c.drift, I, t, xs, ls) / (2.0 * dx)
+        sig = _on_rays(c.diffusion, I, t, xs, ls)
+        b = _on_rays(c.drift, I, t, xs, ls)
+        a = 0.5 * sig**2 / dx**2
+        bet = b / (2.0 * dx)
         diag = 1.0 / dt + 2.0 * a + _on_rays(problem.zeroth, I, t, xs, ls)
         lower = -(a - bet)
         upper = -(a + bet)
@@ -266,8 +293,8 @@ def solve(problem: PdeProblem, grid: PdeGrid) -> PdeSolution:
         # right-hand sides of the particular solution w and of the vertex
         # influence z (node 1 couples to the vertex value)
         rhs = np.zeros((J, 2, I, nP))
-        rhs[:, 0] = U[:, m_known, 1:, :nP].transpose(1, 0, 2) / dt + _on_rays(
-            problem.source, I, t, xs, ls)
+        rhs[:, 0] = U[:, m_known, 1:, :nP].transpose(1, 0, 2) / dt + _source_on_rays(
+            problem, t, xs, ls, b, sig)
         rhs[0, 1] = a[0] - bet[0]
         w, z = _sweep(lower, diag, upper, rhs).transpose(1, 0, 2, 3)
 
@@ -325,10 +352,11 @@ def residual(solution: PdeSolution) -> dict:
         dudt = (u_known - u[1:J]) / dt
         d2 = (u[0:J - 1] - 2.0 * u[1:J] + u[2:J + 1]) / dx**2
         d1 = (u[2:J + 1] - u[0:J - 1]) / (2.0 * dx)
-        r = (dudt + 0.5 * _on_rays(c.diffusion, I, t, xs, ls)**2 * d2
-             + _on_rays(c.drift, I, t, xs, ls) * d1
+        sig = _on_rays(c.diffusion, I, t, xs, ls)
+        b = _on_rays(c.drift, I, t, xs, ls)
+        r = (dudt + 0.5 * sig**2 * d2 + b * d1
              - _on_rays(problem.zeroth, I, t, xs, ls) * u[1:J]
-             + _on_rays(problem.source, I, t, xs, ls))
+             + _source_on_rays(problem, t, xs, ls, b, sig))
         interior.append(r.ravel())
         tl = np.full(P, t)
         amat = c.alpha_matrix(tl, lg[:P])
@@ -360,12 +388,20 @@ def manufactured_backward(c: CoefficientSet, truth: TestFunction, T: float,
     Sources are chosen by substitution, the vertex source balances the
     vertex relation, terminal and K-slice data are read off the truth.
     The truth must have a flat x-profile at R for the Neumann condition.
+    Each source h_edge[e - 1](t, x, l) is rows(e, t, x, l, b_e, sigma_e)
+    with c's drift and diffusion on ray e, for the one row-wise source
+    rows = -generator(truth, ...); every entry keeps rows and c as its
+    attributes, so that source_rows finds them.
     """
     I = c.I
 
+    def rows(edge, t, x, l, b, sigma):
+        return -generator(truth, edge, t, x, l, b, sigma)
+
     def h_for(e):
         def h(t, x, l, _e=e):
-            return -generator(truth, _e, t, x, l, c.drift(_e, t, x, l), c.diffusion(_e, t, x, l))
+            return rows(_e, t, x, l, c.drift(_e, t, x, l), c.diffusion(_e, t, x, l))
+        h.rows, h.coefficients = rows, c
         return h
 
     def h0(t, l):

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from spidersim import feynman_kac
 from spidersim.coeffexpr import _compile, build_coefficient_set, parse
 from spidersim.feynman_kac import FKProblem, fk_estimate, fk_vs_pde
-from spidersim.network import TestFunction, TfTerm, constant_coefficients
+from spidersim.network import TestFunction, TfTerm, constant_coefficients, per_ray
 from spidersim.pde import PdeGrid, flat_profile_poly, manufactured_backward
 from spidersim.simulator import SimConfig, SpiderState, run_paths
 
@@ -225,6 +226,8 @@ def test_vertex_cost_is_evaluated_on_the_hit_rows_only(monkeypatch):
 
 
 def test_hit_rows_estimate_is_bit_identical_to_the_all_rows_formula():
+    """The vertex cost on the hit rows and the one-pass running cost give
+    the bits of the all-rows vertex formula and the ray-by-ray sources."""
     c, prob = _manufactured_06c()
     cfg = SimConfig(h=1e-3, T=1.0, n_paths=400, seed=626)
     query = (0.8, 0.3, 2, 0.1)
@@ -232,7 +235,7 @@ def test_hit_rows_estimate_is_bit_identical_to_the_all_rows_formula():
 
     def on_step(step):
         t, l, dl = step.t, step.l, step.dl
-        acc_step = prob.running(step.parts, t, step.x, l) * cfg.h
+        acc_step = per_ray(step.parts, lambda e, *a: prob.h_edge[e - 1](*a), t, step.x, l) * cfg.h
         hit = dl > 0
         if hit.any():
             acc_step = acc_step + np.where(hit, prob.vertex_cost(t, l) * dl, 0.0)
@@ -277,3 +280,91 @@ def test_fk_vs_pde_checks_running_cost_on_its_truncation_box(monkeypatch, h, R, 
         fk_vs_pde(prob, _c(), [(0.0, 0.5, 1, 0.1)], cfg, PdeGrid(8, 8, 4), R=R, K=K)
     assert err.value.names == ("h_edge", "h_bound")
     assert solves == []
+
+
+def test_fk_vs_pde_runs_each_querys_own_check_before_solving(monkeypatch):
+    """h = 5 x^4 stays within h_bound = 10 on the truncation box x <= R = 1,
+    but not on the box x <= 2 that fk_estimate samples from the query on;
+    fk_vs_pde rejects it before either solve."""
+    solves = []
+    solve = feynman_kac.solve
+    monkeypatch.setattr(feynman_kac, "solve", lambda *a: solves.append(a) or solve(*a))
+    cost = _compile(parse("5*x^4"))
+    prob = FKProblem(g_edge=_const_g(2, 1.0), h_edge=(cost, cost))
+    cfg = SimConfig(h=1e-2, T=1.0, n_paths=10, seed=0)
+    with pytest.raises(ValueError, match="exceeds its declared bound") as err:
+        fk_vs_pde(prob, constant_coefficients(2), [(0.5, 0.3, 1, 0.2)], cfg, PdeGrid(8, 8, 4),
+                  R=1.0, K=1.0)
+    assert err.value.names == ("h_edge", "h_bound")
+    assert solves == []
+
+
+def _manufactured_varying():
+    """A manufactured problem on two rays whose drift and diffusion vary with
+    t, x and l and differ between the rays."""
+    c = build_coefficient_set({
+        "I": 2, "b": ["0.3*tanh(x) - 0.1*l", "0.1*sin(t)"],
+        "sigma": ["1 + 0.2*sin(t)", "0.8 + 0.1*tanh(l)"],
+        "alpha": {"exprs": ["1+l", "1"], "mode": "renormalize"},
+        "bounds": {"a_lower": 0.1, "sigma_lower": 0.5, "b_bound": 2.0,
+                   "sigma_bound": 1.5, "alpha_lip": 1.0}})
+    truth = TestFunction(I=2, terms=(
+        TfTerm(edge_coeffs=(1.0, -0.5), x_poly=flat_profile_poly(2.0, 1),
+               l_poly=(1.0, 0.3), time_poly=(1.0, -0.4)),
+        TfTerm(edge_coeffs=(0.4, 0.4), x_poly=flat_profile_poly(2.0, 2),
+               l_poly=(0.5, 0.0, 0.1), sin_omega=1.3, sin_phase=0.4),
+    ))
+    pde = manufactured_backward(c, truth, 1.0, 2.0, 2.0)
+    return c, FKProblem(g_edge=pde.g_edge, h_edge=pde.h_edge, h0=pde.h0)
+
+
+def _callers(depth=2):
+    """The code objects on the stack above the caller of the caller."""
+    frame, codes = sys._getframe(depth), set()
+    while frame is not None:
+        codes.add(frame.f_code)
+        frame = frame.f_back
+    return codes
+
+
+def test_fk_estimate_evaluates_manufactured_sources_in_one_pass(monkeypatch):
+    """No per_ray for the running cost and no drift or diffusion call from
+    inside a source, outside FKProblem.check, which samples the per-ray sources."""
+    c, prob = _manufactured_varying()
+    source, check = prob.h_edge[0].__code__, FKProblem.check.__code__
+    running = FKProblem.running.__code__
+    seen = []
+
+    def spy(name, orig):
+        def wrapper(*a, **kw):
+            seen.append((name, _callers()))
+            return orig(*a, **kw)
+        return wrapper
+
+    monkeypatch.setattr(feynman_kac, "per_ray", spy("per_ray", feynman_kac.per_ray))
+    for name in ("drift", "diffusion"):
+        monkeypatch.setattr(type(c), name, spy(name, getattr(type(c), name)))
+    fk_estimate(prob, c, (0.5, 0.1, 2, 0.1), SimConfig(h=1e-2, T=1.0, n_paths=50, seed=3))
+    assert any(source in codes and check in codes for _, codes in seen)  # the spy sees them
+    assert not [n for n, codes in seen if n == "per_ray" and running in codes]
+    assert not [n for n, codes in seen if source in codes and check not in codes]
+
+
+def test_running_cost_goes_ray_by_ray_unless_built_for_the_runs_coefficients(monkeypatch):
+    """A run on another CoefficientSet object, or h_edge that mixes a
+    manufactured entry with a plain callable, takes per_ray and gives the
+    values of plain callables."""
+    c, prob = _manufactured_varying()
+    plain = tuple(lambda t, x, l, _h=h: _h(t, x, l) for h in prob.h_edge)
+    init = SpiderState(0.5, 0.1, 2, 0.1)
+    cfg = SimConfig(h=1e-2, T=1.0, n_paths=50, seed=3)
+    calls = []
+    orig = feynman_kac.per_ray
+    monkeypatch.setattr(feynman_kac, "per_ray", lambda *a: calls.append(a) or orig(*a))
+    for run_c, h_edge in ((constant_coefficients(2, sigma=0.9, b=0.1), prob.h_edge),
+                          (c, (prob.h_edge[0], plain[1]))):
+        del calls[:]
+        got = feynman_kac._per_path_values(replace(prob, h_edge=h_edge), run_c, init, cfg, 0, 50)
+        assert len(calls) > cfg.n_steps(init.t)  # once per step, and for the payoff
+        want = feynman_kac._per_path_values(replace(prob, h_edge=plain), run_c, init, cfg, 0, 50)
+        assert np.array_equal(got, want)

@@ -1,8 +1,11 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spidersim.coeffexpr import build_coefficient_set
-from spidersim.network import TestFunction, TfTerm, constant_coefficients
+from spidersim.network import CoefficientSet, TestFunction, TfTerm, constant_coefficients
 from spidersim.pde import (
     PdeError,
     PdeGrid,
@@ -12,6 +15,7 @@ from spidersim.pde import (
     manufactured_backward,
     residual,
     solve,
+    source_rows,
 )
 
 
@@ -264,3 +268,82 @@ def test_discontinuous_vertex_data_rejected():
                               lambda x, l: 2.0 + 0.0 * np.asarray(x)))
     with pytest.raises(PdeError, match="discontinuous"):
         solve(prob, PdeGrid(4, 4, 4))
+
+
+def _varying_coefficients():
+    """Two rays whose drift and diffusion vary with t, x and l."""
+    return build_coefficient_set({
+        "I": 2, "b": ["0.3*tanh(x) - 0.1*l", "0.1*sin(t)"],
+        "sigma": ["1 + 0.2*sin(t)", "0.8 + 0.1*tanh(l)"],
+        "alpha": {"exprs": ["1 + l", "1"], "mode": "renormalize"},
+        "bounds": {"a_lower": 0.1, "sigma_lower": 0.5, "b_bound": 2.0,
+                   "sigma_bound": 1.5, "alpha_lip": 1.0},
+    })
+
+
+def _callers(depth=2):
+    """The code objects on the stack above the caller of the caller."""
+    frame, codes = sys._getframe(depth), set()
+    while frame is not None:
+        codes.add(frame.f_code)
+        frame = frame.f_back
+    return codes
+
+
+def test_solve_and_residual_evaluate_manufactured_sources_in_one_pass(monkeypatch):
+    """No per-ray source and no drift or diffusion call from inside a source."""
+    c = _varying_coefficients()
+    prob = manufactured_backward(c, _truth(2.0), 1.0, 2.0, 2.0)
+    source = prob.h_edge[0].__code__
+    seen = []
+
+    def spy(name, orig):
+        def wrapper(*a, **kw):
+            seen.append((name, _callers()))
+            return orig(*a, **kw)
+        return wrapper
+
+    monkeypatch.setattr(PdeProblem, "source", spy("source", PdeProblem.source))
+    for name in ("drift", "diffusion"):
+        monkeypatch.setattr(CoefficientSet, name, spy(name, getattr(CoefficientSet, name)))
+    residual(solve(prob, PdeGrid(8, 8, 4)))
+    assert {n for n, _ in seen} == {"drift", "diffusion"}  # the grid's own b and sigma
+    assert not [n for n, codes in seen if source in codes]
+
+
+def test_grid_sources_go_ray_by_ray_unless_built_for_the_problems_coefficients(monkeypatch):
+    """Another CoefficientSet object on the problem, or h_edge that mixes a
+    manufactured entry with a plain callable, takes the per-ray source and
+    gives the values of plain callables."""
+    c = _varying_coefficients()
+    prob = manufactured_backward(c, _truth(2.0), 1.0, 2.0, 2.0)
+    plain = tuple(lambda t, x, l, _h=h: _h(t, x, l) for h in prob.h_edge)
+    calls = []
+    orig = PdeProblem.source
+    monkeypatch.setattr(PdeProblem, "source", lambda *a: calls.append(a) or orig(*a))
+    grid = PdeGrid(8, 8, 4)
+    for coefficients, h_edge in ((_alpha_l_coefficients(), prob.h_edge),
+                                 (c, (prob.h_edge[0], plain[1]))):
+        del calls[:]
+        sol = solve(replace(prob, coefficients=coefficients, h_edge=h_edge), grid)
+        r = residual(sol)
+        assert len(calls) == 2 * 2 * grid.M  # each ray, on every level, in solve and residual
+        want = solve(replace(prob, coefficients=coefficients, h_edge=plain), grid)
+        assert np.array_equal(sol.values, want.values)
+        assert r == residual(want)
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_source_rows_at_one_time_equal_the_rows_at_that_time(n):
+    """The sources' time factors (polynomial and sine) computed once, on
+    t[:1], broadcast to the bits of the factors computed on every row."""
+    c = _alpha_l_coefficients()
+    rows = source_rows(manufactured_backward(c, _truth(2.0), 1.0, 2.0, 2.0).h_edge, c)
+    rng = np.random.default_rng(n)
+    edge = rng.integers(1, 3, n)
+    x, l, b = rng.uniform(0.0, 2.0, (3, n))
+    sigma = rng.uniform(0.5, 1.5, n)
+    t = np.full(n, rng.uniform(0.0, 1.0))
+    once = rows(edge, t[:1], x, l, b, sigma)
+    assert once.shape == (n,)
+    assert np.array_equal(once, rows(edge, t, x, l, b, sigma))
