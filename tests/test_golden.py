@@ -9,14 +9,17 @@ the CLI output digests before the subcommand runners handed their outputs
 to one writer; the unifying family's digests before a family whose rays
 differ only in their numbers was evaluated in one pass over all rows;
 the manufactured outputs on coefficients that vary with t, x and l before
-the manufactured sources were evaluated in one pass over all rows.
+the manufactured sources were evaluated in one pass over all rows; the
+shell occupation values before every family's shell diffusion went
+through CoefficientSet.diffusion.
 Any refactor must reproduce them.  Floats are compared at 1e-12 relative (not as byte
 digests, so other CPUs and numpy builds pass too), integer and bool arrays
 exactly.  The CLI files are byte-stable by contract, so they are pinned by
 sha256, and so are the shell-policy stored paths, whose departure and
 shell-entry redraws must land on the same grid points bit for bit, and the
-unifying family's results and the varying-coefficient manufactured
-outputs, which evaluating rays in one pass must not move by a bit.
+unifying family's results, the varying-coefficient manufactured outputs
+and the shell occupation values, which evaluating rays in one pass must
+not move by a bit.
 """
 
 import hashlib
@@ -26,6 +29,7 @@ import numpy as np
 
 from spidersim.cli import SUBCOMMANDS, main
 from spidersim.coeffexpr import build_coefficient_set
+from spidersim.localtime import occupation_batch, occupation_estimate
 from spidersim.feynman_kac import FKProblem, _per_path_values, fk_estimate
 from spidersim.network import CoefficientBounds, CoefficientSet, TestFunction, TfTerm, constant_coefficients
 from spidersim.pde import (PdeGrid, PdeProblem, PdeSolution, flat_profile_poly, manufactured_backward,
@@ -216,6 +220,24 @@ def _unifying_cases(c):
         yield f"first_hit-{policy}", (res.theta, res.edge, res.l, res.censored)
 
 
+def _occupation_cases():
+    """occupation_batch and occupation_estimate on the stored paths of the
+    same run, on all rays and on rays 1 and 3, for a constant family and for
+    a fused one whose sigma varies with t; the run starts past t = 0, so the
+    shell rows' times matter."""
+    init = SpiderState(0.3, 0.0, 1, 0.1)
+    cfg = SimConfig(h=1e-3, T=0.35, n_paths=16, seed=606)
+    families = (("constant", constant_coefficients(3, sigma=(1.0, 1.2, 0.8), b=(0.1, -0.2, 0.0),
+                                                   alpha=(0.5, 0.3, 0.2))),
+                ("fused", _unifying_coefficients()))
+    for name, c in families:
+        paths = run_paths(c, init, cfg, 0, cfg.n_paths, store=True).paths
+        for edges in (None, (1, 3)):
+            yield f"batch-{name}-{edges}", occupation_batch(c, init, cfg, 0.05, edges)
+            yield f"estimate-{name}-{edges}", np.array(
+                [occupation_estimate(p, c, 0.05, t, edges).value for p in paths for t in (0.32, 0.35)])
+
+
 def _check(actual, expected):
     actual = np.asarray(actual)
     expected = np.asarray(expected, dtype=actual.dtype)
@@ -263,6 +285,11 @@ def test_unifying_family_outputs():
     got = {name: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
            for name, arrays in _unifying_cases(_unifying_coefficients())}
     assert got == UNIFYING
+
+
+def test_occupation_outputs():
+    got = {name: hashlib.sha256(vals.tobytes()).hexdigest() for name, vals in _occupation_cases()}
+    assert got == OCCUPATION
 
 
 def test_pde_manufactured_solution_and_residual():
@@ -471,6 +498,18 @@ VARYING_MANUFACTURED = {
     "per_path_values": "158cf90b721e790e1d1160c25e21c51c9c3f2f27bfcdc72bfcbc52c48808f732",
     "solve": "e172cfd392e3320a80b98c348162ed03106779e71b52256dd9d4bd6d96252a28",
     "residual": "3f8e0702ea55801980ccd89ab932a0e896ff9795a0a3f88cacdba99c001ae00a",
+}
+
+# sha256 of each output of _occupation_cases
+OCCUPATION = {
+    "batch-constant-None": "19890205f55f7a0226e779c2df38deb6b7f07cb9a1a3d21d7fa87b9bf04c2985",
+    "estimate-constant-None": "0dcb089b60b1f57f93c63f8d772077e9b8caf64f6123e0e9abd3a26c6961eedb",
+    "batch-constant-(1, 3)": "c1a21710e572e8a412542f67967b365d0c44a886bbbc5eb44ee54d7dd67a2e8c",
+    "estimate-constant-(1, 3)": "0630f06d71e4301eaa536b66e7d2ae917d9627cdca7d5251af889316c2118e96",
+    "batch-fused-None": "5f0374f97a21437b42215b14324ecaa94ccb8ad2f02e7d166e5392136510e2a8",
+    "estimate-fused-None": "eb15d8c0e1b17d7852263206d98a8ea1f2f1162069a1e883ba6875ac670b6789",
+    "batch-fused-(1, 3)": "c3dcafc37c3ec7040a4bde13d043e24a8cc5ff3ef4acfea11b840612521ae22b",
+    "estimate-fused-(1, 3)": "f073c892e6c377e9417f8223cc978319a63ed7d7f3a754e97804a41cd904bc1b",
 }
 
 BATTERY = {
