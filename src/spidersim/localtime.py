@@ -158,15 +158,12 @@ def _ray_mask(c: CoefficientSet, edges: Iterable[int] | None) -> np.ndarray:
     return selected
 
 
-def _shell_integrand(c: CoefficientSet, selected: np.ndarray, eps: float, t, x, edge, l):
+def _shell_integrand(c: CoefficientSet, selected: np.ndarray, eps: float, times, x, edge, l):
     """Indices of the rows inside the eps-shell on a selected ray, in order,
-    and sigma_i^2(t, 0, l) on them (t is read only when sigma has no table)."""
+    and sigma_i^2(t, 0, l) on them, with times(rows) the times of those rows."""
     rows = np.flatnonzero(x <= eps)
     rows = rows[selected[edge[rows]]]
-    e = edge[rows]
-    if c.sigma_table is not None:
-        return rows, c.sigma_table[e - 1] ** 2
-    return rows, c.diffusion(e, t[rows], np.zeros(rows.size), l[rows]) ** 2
+    return rows, c.diffusion(edge[rows], times(rows), np.zeros(rows.size), l[rows]) ** 2
 
 
 def occupation_estimate(p: SpiderPath, c: CoefficientSet, eps: float, t: float,
@@ -180,8 +177,8 @@ def occupation_estimate(p: SpiderPath, c: CoefficientSet, eps: float, t: float,
         raise EstimationError("eps must be positive")
     selected = _ray_mask(c, edges)
     idx = grid_index(p, t)
-    times = p.times()[:idx] if c.sigma_table is None else None
-    rows, sig2 = _shell_integrand(c, selected, eps, times, p.x[:idx], p.edge[:idx], p.l[:idx])
+    rows, sig2 = _shell_integrand(c, selected, eps, lambda rows: p.t0 + p.h * rows,
+                                  p.x[:idx], p.edge[:idx], p.l[:idx])
     ray = p.edge[rows]
     total = 0.0
     for e in np.flatnonzero(selected):  # one sum per ray, in ray order
@@ -203,7 +200,8 @@ def occupation_batch(c: CoefficientSet, init, cfg, eps: float,
         acc = np.zeros(hi - lo)
 
         def on_step(step):
-            rows, sig2 = _shell_integrand(c, selected, eps, step.t, step.x, step.edge, step.l)
+            rows, sig2 = _shell_integrand(c, selected, eps, lambda rows: step.t[rows],
+                                          step.x, step.edge, step.l)
             acc[rows] += sig2 * cfg.h
 
         run_paths(c, init, cfg, lo, hi, on_step=on_step)

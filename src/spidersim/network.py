@@ -88,9 +88,14 @@ class CoefficientBounds:
             raise NetworkError("need a_lower > 0")
 
 
-def _fused(fns):
-    """One row-wise evaluator of compiled expressions fns, each keeping its
-    tree as fn.node, when the trees fuse across the rays; else None."""
+def _row_evaluator(fns):
+    """One evaluator fn(edge, t, x, l) of 1-d rows on mixed rays for the I
+    evaluators fns of a coefficient: a table lookup when every fns[e] is a
+    number, the fused pass when fns are compiled expressions, each keeping
+    its tree as fn.node, whose trees fuse across the rays; else None."""
+    if not any(map(callable, fns)):
+        table = np.array(fns, dtype=np.float64)
+        return lambda edge, t, x, l: table[edge - 1]
     if not all(hasattr(f, "node") for f in fns):
         return None
     from .coeffexpr import _fuse  # coeffexpr imports this module
@@ -111,12 +116,12 @@ class CoefficientSet:
     b[e] and sigma[e] map (t, x, l) -> real (a number is a constant).  alpha
     is either I numbers, the weights of a constant family, or maps 1-d
     arrays t and l of n points to an (n, I) array of weights.  Evaluators
-    must be pure and accept numpy arrays.  b_table (sigma_table,
-    alpha_table) holds the I values of b (sigma, alpha) when they are
-    numbers, and is None otherwise.  b_fused (sigma_fused) maps 1-d rows
-    (edge, t, x, l) on mixed rays to the values of b (sigma) in one pass,
-    or to None where it cannot vouch for them, when b (sigma) is compiled
-    expressions whose trees fuse (coeffexpr._fuse), and is None otherwise.
+    must be pure and accept numpy arrays.  alpha_table holds the I weights
+    when they are numbers, and is None otherwise.  b_rows (sigma_rows) maps
+    1-d rows (edge, t, x, l) on mixed rays to the values of b (sigma) in one
+    call, or to None where it cannot vouch for them: a table lookup when b
+    (sigma) is numbers, one pass when it is compiled expressions whose
+    trees fuse (coeffexpr._fuse); it is None otherwise (_row_evaluator).
     """
 
     I: int
@@ -125,10 +130,8 @@ class CoefficientSet:
     alpha: Callable | tuple[float, ...]
     bounds: CoefficientBounds
     validation: "ValidationReport | None" = field(default=None, compare=False)
-    b_table: np.ndarray | None = field(init=False, repr=False, compare=False)
-    sigma_table: np.ndarray | None = field(init=False, repr=False, compare=False)
-    b_fused: Callable | None = field(init=False, repr=False, compare=False)
-    sigma_fused: Callable | None = field(init=False, repr=False, compare=False)
+    b_rows: Callable | None = field(init=False, repr=False, compare=False)
+    sigma_rows: Callable | None = field(init=False, repr=False, compare=False)
     alpha_table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,10 +140,7 @@ class CoefficientSet:
         if len(self.b) != self.I or len(self.sigma) != self.I:
             raise NetworkError("need one b and one sigma evaluator per edge")
         for name in ("b", "sigma"):
-            fns = getattr(self, name)
-            object.__setattr__(self, f"{name}_table", None if any(map(callable, fns))
-                               else np.array(fns, dtype=np.float64))
-            object.__setattr__(self, f"{name}_fused", _fused(fns))
+            object.__setattr__(self, f"{name}_rows", _row_evaluator(getattr(self, name)))
         table = None if callable(self.alpha) else np.array(self.alpha, dtype=np.float64)
         if table is not None and table.shape != (self.I,):
             raise NetworkError(f"alpha table has shape {table.shape}, expected ({self.I},)")
@@ -148,25 +148,23 @@ class CoefficientSet:
 
     def drift(self, edge, t, x, l, parts=None):
         """b on ray edge at (t, x, l), or row-wise (see _rows)."""
-        return self._rows(self.b, self.b_table, self.b_fused, edge, t, x, l, parts)
+        return self._rows(self.b, self.b_rows, edge, t, x, l, parts)
 
     def diffusion(self, edge, t, x, l, parts=None):
         """sigma on ray edge at (t, x, l), or row-wise (see _rows)."""
-        return self._rows(self.sigma, self.sigma_table, self.sigma_fused, edge, t, x, l, parts)
+        return self._rows(self.sigma, self.sigma_rows, edge, t, x, l, parts)
 
-    def _rows(self, fns, table, fused, edge, t, x, l, parts):
+    def _rows(self, fns, rows, edge, t, x, l, parts):
         """fns[edge - 1](t, x, l) for one ray edge.  For 1-d rows with one ray
-        label each, every label in 1..I (a table or a fused evaluator reads
-        label 0 as ray I unchecked): a table lookup, else one pass of the
-        fused evaluator, else (or where that pass returns None) per_ray on
-        parts, the rows' ray_partition, built here when not given."""
+        label each, every label in 1..I (a row-wise evaluator reads label 0
+        as ray I unchecked): one call of rows, else (or where it returns
+        None) per_ray on the rows' ray_partition, which parts() returns when
+        given (called only here) and which is built here otherwise."""
         if np.ndim(edge) == 0:
             return _evaluate(fns[edge - 1], t, x, l)
-        if table is not None:
-            return table[edge - 1]
-        out = None if fused is None else fused(edge, t, x, l)
+        out = None if rows is None else rows(edge, t, x, l)
         if out is None:
-            out = per_ray(ray_partition(self.I, edge) if parts is None else parts,
+            out = per_ray(ray_partition(self.I, edge) if parts is None else parts(),
                           lambda e, *a: _evaluate(fns[e - 1], *a), t, x, l)
         return out
 

@@ -238,15 +238,6 @@ def _pick_edges(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cum.shape[-1] - 1).astype(np.int64) + 1
 
 
-def _rowwise(step: Step, table, coefficient, fused) -> np.ndarray:
-    """A coefficient at every row of step: a table lookup, else one call of
-    coefficient (c.drift or c.diffusion), handed the step's partition unless
-    a fused evaluator takes all rows in one pass."""
-    if table is not None:
-        return table[step.edge - 1]
-    return coefficient(step.edge, step.t, step.x, step.l, None if fused else step.parts)
-
-
 def run_batch(
     c: CoefficientSet,
     cfg: SimConfig,
@@ -265,8 +256,8 @@ def run_batch(
     early when no path is left (at once for an empty batch).
 
     ``on_step(step)`` is called once per step with its Step record.  The
-    kernel reads ``step.parts`` only for drift or diffusion with neither a
-    table nor a fused evaluator.
+    kernel hands ``step.parts`` to c.drift and c.diffusion lazily, so it is
+    built only for a coefficient that goes ray by ray (CoefficientSet._rows).
 
     With ``stop_level`` set, absorption is a stop mask on the same loop: at
     the top of every step (and after the last) the paths with x >= stop_level
@@ -343,8 +334,9 @@ def run_batch(
         else:
             g = gaussians[:, k]
         step = Step(k, t, x, edge, l, g, c.I)
-        bv = _rowwise(step, c.b_table, c.drift, c.b_fused)
-        sv = _rowwise(step, c.sigma_table, c.diffusion, c.sigma_fused)
+        parts = lambda: step.parts
+        bv = c.drift(edge, t, x, l, parts)
+        sv = c.diffusion(edge, t, x, l, parts)
         y = x + bv * h + sv * sq * g
         if not np.all(np.isfinite(y)):
             raise SimulationError(f"non-finite proposal at step {k}")

@@ -424,9 +424,9 @@ def test_fused_rows_match_per_ray_evaluation(family):
     trees, edge, t, x, l = family
     c = _row_set(trees)
     if not variables(trees[0]):
-        assert c.b_fused is None
+        assert c.b_rows is None
     elif "^" not in _names(trees[0]) and all(map(_evaluates, sum(map(_constant_parts, trees), []))):
-        assert c.b_fused is not None
+        assert c.b_rows is not None
     assert (_outcome(lambda *_: c.drift(edge, t, x, l), None, ())
             == _outcome(lambda *_: _per_ray_reference(trees, edge, t, x, l), None, ()))
 
@@ -463,7 +463,7 @@ def test_a_failure_on_ray_two_only_still_raises(sources, message):
     error when ray 2 has rows, and stays out of the way when it has none."""
     trees = tuple(map(parse, sources))
     c = _row_set(trees)
-    assert c.b_fused is not None
+    assert c.b_rows is not None
     x, zeros = np.array([1.0, 2.0, 2.0]), np.zeros(3)
     overflows = pytest.warns(RuntimeWarning) if "1e308" in sources[1] else nullcontext()
     with overflows, pytest.raises(EvalError) as err:

@@ -361,16 +361,19 @@ def test_constant_tables_equal_their_evaluators():
     t, x, l = np.linspace(0, 1, 7), np.linspace(0, 3, 7), np.linspace(0, 2, 7)
     for name in ("constant", "numbers", "spelled"):
         c = sets[name]
-        assert c.b_table.tolist() == list(_B) and c.sigma_table.tolist() == list(_SIGMA)
+        assert list(c.b) == list(_B) and list(c.sigma) == list(_SIGMA)
         assert c.alpha_table.tolist() == list(_ALPHA)
+        edge = np.array([1, 2, 3, 3, 2, 1, 2])
+        assert np.array_equal(c.b_rows(edge, t, x, l), np.array(_B)[edge - 1])
+        assert np.array_equal(c.sigma_rows(edge, t, x, l), np.array(_SIGMA)[edge - 1])
         for e in (1, 2, 3):
-            assert np.array_equal(c.drift(e, t, x, l), np.full(7, c.b_table[e - 1]))
-            assert np.array_equal(c.diffusion(e, t, x, l), np.full(7, c.sigma_table[e - 1]))
+            assert np.array_equal(c.drift(e, t, x, l), np.full(7, c.b[e - 1]))
+            assert np.array_equal(c.diffusion(e, t, x, l), np.full(7, c.sigma[e - 1]))
             assert c.drift(e, 0.5, 1.0, 0.0).shape == ()
         assert np.array_equal(c.alpha_matrix(t, l), np.tile(_ALPHA, (7, 1)))
         assert np.array_equal(c.alpha_matrix(0.5, l), np.tile(_ALPHA, (7, 1)))  # t broadcasts
         assert c.alpha_matrix(0.5, 1.0).tolist() == list(_ALPHA)
-    assert sets["expressions"].b_table is None and sets["expressions"].sigma_table is None
+    assert all(map(callable, sets["expressions"].b + sets["expressions"].sigma))
     weights = sets["weights"]
     assert weights.alpha_table is None and callable(weights.alpha)
     assert np.array_equal(weights.alpha_matrix(t, l), np.tile(_ALPHA, (7, 1)))
@@ -394,18 +397,43 @@ def test_constant_tables_match_ray_by_ray_evaluation_bit_for_bit(policy, stop_le
         assert 0 < ref.censored.sum() < 300
 
 
-def test_constant_family_skips_coefficient_dispatch(monkeypatch):
-    sets = _constant_families()
-    calls = []
-    for name in ("drift", "diffusion"):
-        orig = getattr(CoefficientSet, name)
-        monkeypatch.setattr(CoefficientSet, name,
-                            lambda self, *a, _orig=orig: calls.append(1) or _orig(self, *a))
-    cfg = SimConfig(h=1e-3, T=0.05, n_paths=20, seed=1)
-    simulate_batch(sets["constant"], SpiderState(0.0, 0.0, 1, 0.0), cfg)
-    assert calls == []
-    simulate_batch(sets["expressions"], SpiderState(0.0, 0.0, 1, 0.0), cfg)
-    assert len(calls) >= 2 * 50
+def _unfused_family():
+    """The expressions family with ray 2 spelling 0*x as x*0: the rays'
+    trees do not fuse, so drift and diffusion go ray by ray."""
+    def spell(values):
+        return [f"{v} + {'x*0' if e == 2 else '0*x'}" for e, v in enumerate(values, 1)]
+    return build_coefficient_set({"I": 3, "b": spell(_B), "sigma": spell(_SIGMA),
+                                  "alpha": list(map(str, _ALPHA)), "bounds": _BOUNDS})
+
+
+@pytest.mark.parametrize("family", ["constant", "numbers", "expressions", "unfused"])
+def test_every_family_calls_drift_and_diffusion_once_per_step(family, monkeypatch):
+    """The kernel reaches CoefficientSet.drift and diffusion exactly once per
+    step for every family.  A table or a fused family builds no partition in
+    run_batch, first_hit or occupation_batch; a family that goes ray by ray
+    builds one per step in run_batch."""
+    c = _unfused_family() if family == "unfused" else _constant_families()[family]
+    assert (c.b_rows is None and c.sigma_rows is None) == (family == "unfused")
+    calls = {"drift": 0, "diffusion": 0}
+    for name in calls:
+        def spy(self, *a, _name=name, _orig=getattr(CoefficientSet, name)):
+            calls[_name] += 1
+            return _orig(self, *a)
+        monkeypatch.setattr(CoefficientSet, name, spy)
+    built = _spy_partitions(monkeypatch)
+    monkeypatch.setattr(network, "ray_partition", lambda n_rays, edge: built.append(edge))
+    steps = []
+    cfg = SimConfig(h=1e-3, T=0.05, seed=2)
+    run_batch(c, cfg, K=cfg.n_steps(), t0=0.0, x0=np.linspace(0, 0.1, 50), edge0=1, l0=0.0,
+              on_step=lambda step: steps.append(step.k))
+    assert steps == list(range(50)) and calls == {"drift": 50, "diffusion": 50}
+    assert len(built) == (50 if family == "unfused" else 0)
+    if family != "unfused":
+        init = SpiderState(0.0, 0.0, 1, 0.0)
+        cfg = SimConfig(h=1e-3, T=0.05, n_paths=20, seed=2)
+        assert 0 < first_hit(c, init, cfg, 0.15).censored.sum() < 20
+        assert (occupation_batch(c, init, cfg, 0.05) > 0).any()
+        assert built == []
 
 
 def _spy_partitions(monkeypatch) -> list:
@@ -427,12 +455,9 @@ def test_on_step_gets_the_steps_ray_partition(family, monkeypatch):
     by the kernel for an expression family whose trees do not fuse, on
     first read for a constant one."""
     c = _constant_families()[family]
-    if family == "expressions":  # ray 2 spells 0*x as x*0: the rays' trees do not fuse
-        def spell(values):
-            return [f"{v} + {'x*0' if e == 2 else '0*x'}" for e, v in enumerate(values, 1)]
-        c = build_coefficient_set({"I": 3, "b": spell(_B), "sigma": spell(_SIGMA),
-                                   "alpha": list(map(str, _ALPHA)), "bounds": _BOUNDS})
-        assert c.b_fused is None and c.sigma_fused is None
+    if family == "expressions":
+        c = _unfused_family()
+        assert c.b_rows is None and c.sigma_rows is None
     c = CoefficientSet(I=3, b=c.b, sigma=c.sigma, bounds=c.bounds,
                        alpha=(0.6, 0.4, 0.0))  # ray 3 is never drawn
     built = _spy_partitions(monkeypatch)
@@ -488,7 +513,7 @@ def test_unifying_family_builds_no_partition(monkeypatch):
     """simulate_batch and first_hit evaluate a fused family on all rows at
     once: neither the kernel nor CoefficientSet splits a step into rays."""
     c = _unifying_family()
-    assert c.b_fused is not None and c.sigma_fused is not None
+    assert all(map(callable, c.b + c.sigma)) and c.b_rows is not None and c.sigma_rows is not None
     built = _spy_partitions(monkeypatch)
     monkeypatch.setattr(network, "ray_partition", lambda n_rays, edge: built.append(edge))
     batch, hit = _unifying_runs(c)

@@ -49,7 +49,7 @@ def test_a_stored_ray_label_outside_the_family_is_an_error(fused, label):
     c = _c() if not fused else build_coefficient_set({
         "I": 2, "b": ["0.1*tanh(x)", "0.2*tanh(x)"], "sigma": ["1 + 0*x", "1.5 + 0*x"],
         "alpha": ["0.5", "0.5"], "bounds": {"sigma_bound": 1.5}})
-    assert (c.b_fused is not None) == fused
+    assert c.b_rows is not None and all(map(callable, c.b)) == fused
     p = simulate_path(c, SpiderState(0.0, 0.2, 1, 0.0), SimConfig(h=1e-3, T=0.01, seed=3))
     p.edge[3] = label
     with pytest.raises(NetworkError, match=r"outside 1\.\.2"):
