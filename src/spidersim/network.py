@@ -31,8 +31,6 @@ __all__ = [
     "named",
 ]
 
-CONTINUITY_TOL = 1e-12  # largest jump across the rays at the vertex a test function may have
-
 
 class NetworkError(ValueError):
     pass
@@ -492,32 +490,6 @@ class TestFunction:
 
     def dx_vertex(self, edge, t, l):
         return self.dx(edge, t, np.zeros_like(np.asarray(l, dtype=float)), l)
-
-    def check_continuity(self, t, l) -> bool:
-        vals = [self.value(e, t, np.zeros_like(np.asarray(l, dtype=float)), l)
-                for e in range(1, self.I + 1)]
-        ref = vals[0]
-        return all(np.max(np.abs(v - ref)) <= CONTINUITY_TOL for v in vals[1:])
-
-    def check_derivatives(self, rng: np.random.Generator, n: int = 100,
-                          step: float = 1e-4, tol: float = 1e-6) -> float:
-        """Largest gap between declared derivatives and central differences."""
-        t = rng.uniform(0.1, 0.9, n)
-        x = rng.uniform(0.1, 2.0, n)
-        l = rng.uniform(0.1, 2.0, n)
-        e = rng.integers(1, self.I + 1, n)
-        gaps = (
-            (self.dt(e, t, x, l), self.value(e, t + step, x, l) - self.value(e, t - step, x, l)),
-            (self.dx(e, t, x, l), self.value(e, t, x + step, l) - self.value(e, t, x - step, l)),
-            (self.dl(e, t, x, l), self.value(e, t, x, l + step) - self.value(e, t, x, l - step)),
-        )
-        worst = max(float(np.max(np.abs(der - diff / (2 * step)))) for der, diff in gaps)
-        fd2 = (self.value(e, t, x + step, l) - 2 * self.value(e, t, x, l)
-               + self.value(e, t, x - step, l)) / step**2
-        worst = max(worst, float(np.max(np.abs(self.dxx(e, t, x, l) - fd2))))
-        if worst > tol:
-            raise NetworkError(f"analytic derivatives disagree with finite differences by {worst}")
-        return worst
 
 
 def generator(f: TestFunction, edge, t, x, l, b, sigma):

@@ -152,19 +152,6 @@ class SpiderPath:
     def delta_activity(self) -> float:
         return max(self.delta_shell, 3.0 * self.sigma_bound * math.sqrt(self.h))
 
-    def check_invariants(self):
-        if np.any(self.x < 0):
-            raise SimulationError("negative radial position stored")
-        dl = np.diff(self.l)
-        if np.any(dl < -1e-15):
-            raise SimulationError("local time decreased")
-        near = np.minimum(self.x[:-1], self.x[1:]) <= self.delta_activity
-        if np.any((dl > 0) & ~near):
-            raise SimulationError("local time increased away from the vertex")
-        changed = self.edge[1:] != self.edge[:-1]
-        if np.any(changed & ~near):
-            raise SimulationError("ray label changed away from the vertex")
-
 
 @dataclass
 class BatchResult:

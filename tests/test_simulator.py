@@ -137,12 +137,26 @@ def test_first_hit_empty_batch():
     assert fh.edge.dtype == np.int64 and fh.censored.dtype == bool
 
 
+def _check_invariants(p: SpiderPath):
+    if np.any(p.x < 0):
+        raise SimulationError("negative radial position stored")
+    dl = np.diff(p.l)
+    if np.any(dl < -1e-15):
+        raise SimulationError("local time decreased")
+    near = np.minimum(p.x[:-1], p.x[1:]) <= p.delta_activity
+    if np.any((dl > 0) & ~near):
+        raise SimulationError("local time increased away from the vertex")
+    changed = p.edge[1:] != p.edge[:-1]
+    if np.any(changed & ~near):
+        raise SimulationError("ray label changed away from the vertex")
+
+
 def test_path_invariants_both_policies():
     c = _c(I=3, alpha=[0.5, 0.3, 0.2])
     for policy, dsh, h in (("reflection", 1e-3, 1e-3), ("shell", 0.05, 2e-4 / 4)):
         cfg = SimConfig(h=h, T=0.5, delta_shell=dsh, policy=policy, seed=17)
         p = simulate_path(c, SpiderState(0.0, 0.2, 2, 0.0), cfg)
-        p.check_invariants()
+        _check_invariants(p)
         assert p.l[-1] > 0  # the vertex was actually visited
         assert len(set(p.edge.tolist())) > 1  # and rays were re-drawn
 
