@@ -80,8 +80,8 @@ class SpiderState:
     l: float
 
     def __post_init__(self):
-        if not (self.x >= 0 and self.l >= 0):
-            raise SimulationError(f"invalid state x={self.x}, l={self.l}")
+        if not (math.isfinite(self.t) and self.x >= 0 and self.l >= 0):
+            raise SimulationError(f"invalid state t={self.t}, x={self.x}, l={self.l}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.h <= 0 or self.T <= 0 or self.delta_shell <= 0:
+        if not (self.h > 0 and self.T > 0 and self.delta_shell > 0):  # also catches NaN
             raise SimulationError("h, T and delta_shell must be positive")
         if self.policy not in ("reflection", "shell"):
             raise SimulationError(f"unknown vertex policy {self.policy!r}")
@@ -432,7 +432,7 @@ def simulate_batch(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
 def first_hit(c: CoefficientSet, init: SpiderState, cfg: SimConfig, level: float,
               workers: int = 1) -> FirstHitResult:
     """First grid time with x >= level for each path, censored at T."""
-    if level < cfg.delta_shell:
+    if not level >= cfg.delta_shell:  # also catches NaN
         raise named(SimulationError("hitting level must be >= delta_shell"),
                     "level", "cfg.delta_shell")
     return map_path_blocks(cfg.n_paths, workers, lambda lo, hi: run_paths(

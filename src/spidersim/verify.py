@@ -387,7 +387,7 @@ def scattering_distribution(c: CoefficientSet, t: float, ell: float, delta: floa
                             n: int, cfg: SimConfig, workers: int = 1) -> EstimatorReport:
     """Empirical law of the exit ray at the first passage of level delta,
     started at the junction with local-time level ell, against alpha(t, ell)."""
-    if delta < 2.0 * cfg.delta_shell:
+    if not delta >= 2.0 * cfg.delta_shell:  # also catches NaN
         raise named(ValueError("need delta >= 2 delta_shell"), "delta", "cfg.delta_shell")
     if n < 10**4:
         raise named(ValueError("need at least 1e4 excursions"), "n")
@@ -423,7 +423,7 @@ def mean_exit_stats(c: CoefficientSet, t: float, ell: float, deltas: Sequence[fl
     if n < 2:
         raise named(ValueError("need at least two paths for a standard error"), "n")
     for j, delta in enumerate(deltas):  # first_hit's floor, checked before any level runs
-        if delta < cfg.delta_shell:
+        if not delta >= cfg.delta_shell:  # also catches NaN
             raise named(SimulationError("hitting level must be >= delta_shell"),
                         f"deltas[{j}]", "cfg.delta_shell")
     rows = []
@@ -485,6 +485,9 @@ def atom_test(x_samples: np.ndarray, deltas: Sequence[float],
     n = x.size
     if n == 0:
         raise named(ValueError("empty sample"), "x_samples")
+    for j, d in enumerate(deltas):
+        if not 0 < d < math.inf:
+            raise named(ValueError(f"delta = {d!r} must be positive and finite"), f"deltas[{j}]")
     ds = sorted((float(d) for d in deltas), reverse=True)
     phat = np.array([np.mean(x <= d) for d in ds])
     stderr = np.sqrt(np.maximum(phat * (1 - phat), 1e-12) / n)

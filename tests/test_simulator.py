@@ -106,6 +106,15 @@ def test_nan_states_rejected():
             run_batch(_c(), SimConfig(h=0.01, T=0.1), K=2, t0=0.0, x0=x, edge0=1, l0=l)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SimConfig(h=np.nan, T=0.1), lambda: SimConfig(h=0.01, T=np.nan),
+    lambda: SimConfig(h=0.01, T=0.1, delta_shell=np.nan), lambda: SpiderState(np.nan, 0.0, 1, 0.0),
+], ids=["h", "T", "delta_shell", "t"])
+def test_nan_step_horizon_shell_or_start_time_rejected(make):
+    with pytest.raises(SimulationError, match="must be positive|invalid state"):
+        make()
+
+
 @pytest.mark.parametrize("weights", [(1.2, -0.2), (0.5, 0.2)])
 def test_ray_draw_rejects_invalid_weights(weights):
     # negative entry, and a row that does not sum to one

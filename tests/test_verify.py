@@ -101,10 +101,17 @@ def test_ito_convergence_rejects_a_step_whose_grid_misses_T():
 @pytest.mark.parametrize("run, names", [
     (lambda: mean_exit_stats(_c(), 0.0, 0.0, [0.04, 5e-4], 100, SimConfig(h=1e-4, T=0.01)),
      ("deltas[1]", "cfg.delta_shell")),
+    (lambda: mean_exit_stats(_c(), 0.0, 0.0, [0.04, np.nan], 100, SimConfig(h=1e-4, T=0.01)),
+     ("deltas[1]", "cfg.delta_shell")),
+    (lambda: scattering_distribution(_c(), 0.0, 0.0, np.nan, 10**4, SimConfig(h=1e-4, T=0.01)),
+     ("delta", "cfg.delta_shell")),
+    (lambda: simulator.first_hit(_c(), SpiderState(0.0, 0.0, 1, 0.0), SimConfig(h=1e-4, T=0.01),
+                                 np.nan), ("level", "cfg.delta_shell")),
     (lambda: ito_convergence(_c(), SpiderState(0.0, 0.1, 1, 0.0), make_battery(2)[0],
                              [4e-4, 2.5e-4, 5e-5], T=1.2e-3, n_paths=3, seed=5),
      ("h_list[1]", "T", "init.t")),
-], ids=["exit-level-below-shell", "ito-grid-misses-T"])
+], ids=["exit-level-below-shell", "exit-level-nan", "scatter-level-nan", "first-hit-level-nan",
+        "ito-grid-misses-T"])
 def test_bad_level_or_step_size_fails_before_any_run(monkeypatch, run, names):
     """The second entry is at fault; the first would run if it were checked late."""
     calls = _spy_run_batch(monkeypatch)
@@ -274,6 +281,15 @@ def test_mean_exit_stats_rejects_levels_without_two_passages():
 def test_atom_test_rejects_an_empty_sample():
     with pytest.raises(ValueError, match="empty sample"):
         atom_test(np.empty(0), [0.1, 0.05])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("deltas, bad", [([0.1, 0.0], 1), ([-0.1, 0.1], 0), ([0.1, np.nan], 1),
+                                         ([np.inf, 0.1], 0)])
+def test_atom_test_rejects_a_delta_that_is_not_positive_and_finite(deltas, bad):
+    with pytest.raises(ValueError, match="must be positive and finite") as exc:
+        atom_test(np.linspace(0.0, 1.0, 50), deltas)
+    assert exc.value.names == (f"deltas[{bad}]",)
 
 
 def test_atom_test_monotone_and_oracle():
