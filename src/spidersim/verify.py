@@ -245,9 +245,9 @@ def martingale_residual(c: CoefficientSet, init: SpiderState, cfg: SimConfig,
             if k == ks:
                 for q, f in enumerate(f_list):
                     resid[q] -= f.value(edge, t, x, l)
-            if ks <= k < ke:
+            if ks <= k < ke:  # every row starts from init.t: time factors once, on t[:1]
                 for q, f in enumerate(f_list):
-                    resid[q] -= generator(f, edge, t, x, l, step.b, step.sigma) * cfg.h
+                    resid[q] -= generator(f, edge, t[:1], x, l, step.b, step.sigma) * cfg.h
                 hit = dl > 0
                 if hit.any():
                     th, lh, dlh = t[hit], l[hit], dl[hit]

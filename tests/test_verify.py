@@ -5,7 +5,7 @@ import pytest
 
 from spidersim import simulator, verify
 from spidersim.coeffexpr import build_coefficient_set
-from spidersim.network import CoefficientSet, NetworkError, constant_coefficients
+from spidersim.network import CoefficientSet, NetworkError, constant_coefficients, generator
 from spidersim.simulator import (SimConfig, SimulationError, SpiderState, run_paths,
                                  simulate_batch, simulate_path)
 from spidersim.verify import (
@@ -27,6 +27,22 @@ from spidersim.verify import (
     scattering_distribution,
     strong_markov_test,
 )
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+def test_battery_generator_at_one_time_equals_the_rows_at_that_time(n):
+    """The battery's time factors (polynomial and sine) computed once, on
+    t[:1], broadcast to the bits of the generator computed on every row, as
+    martingale_residual uses them."""
+    rng = np.random.default_rng(n)
+    edge = rng.integers(1, 4, n)
+    x, l, b = rng.uniform(0.0, 2.0, (3, n))
+    sigma = rng.uniform(0.5, 1.5, n)
+    t = np.full(n, rng.uniform(0.0, 1.0))
+    for f in make_battery(3):
+        once = generator(f, edge, t[:1], x, l, b, sigma)
+        assert once.shape == (n,)
+        assert np.array_equal(once, generator(f, edge, t, x, l, b, sigma))
 
 
 def _c(I=2, alpha=None, b=0.0):
