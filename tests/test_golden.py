@@ -11,7 +11,8 @@ differ only in their numbers was evaluated in one pass over all rows;
 the manufactured outputs on coefficients that vary with t, x and l before
 the manufactured sources were evaluated in one pass over all rows; the
 shell occupation values before every family's shell diffusion went
-through CoefficientSet.diffusion.
+through CoefficientSet.diffusion; the admissibility reports before one
+routine found the largest difference quotient of every clause.
 Any refactor must reproduce them.  Floats are compared at 1e-12 relative (not as byte
 digests, so other CPUs and numpy builds pass too), integer and bool arrays
 exactly.  The CLI files are byte-stable by contract, so they are pinned by
@@ -19,11 +20,13 @@ sha256, and so are the shell-policy stored paths, whose departure and
 shell-entry redraws must land on the same grid points bit for bit, and the
 unifying family's results, the varying-coefficient manufactured outputs
 and the shell occupation values, which evaluating rays in one pass must
-not move by a bit.
+not move by a bit, and the admissibility reports, whose every field (the
+worst values bit for bit, the places with their index types) must stay.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +34,8 @@ from spidersim.cli import SUBCOMMANDS, main
 from spidersim.coeffexpr import build_coefficient_set
 from spidersim.localtime import occupation_batch, occupation_estimate
 from spidersim.feynman_kac import FKProblem, _per_path_values, fk_estimate
-from spidersim.network import CoefficientBounds, CoefficientSet, TestFunction, TfTerm, constant_coefficients
+from spidersim.network import (CoefficientBounds, CoefficientSet, SamplingPlan, TestFunction, TfTerm,
+                               constant_coefficients, validate_coefficients)
 from spidersim.pde import (PdeGrid, PdeProblem, PdeSolution, flat_profile_poly, manufactured_backward,
                            residual, solve)
 from spidersim.simulator import (SimConfig, SpiderState, first_hit, run_batch, run_paths, simulate_batch,
@@ -238,6 +242,58 @@ def _occupation_cases():
                 [occupation_estimate(p, c, 0.05, t, edges).value for p in paths for t in (0.32, 0.35)])
 
 
+def _validation_families():
+    """A constant family (constant alpha: R-iii has no place), the expression
+    family (renormalized weights that vary with t and l), a sigma whose
+    l-quotient grows with the sampling, and one failure of each clause."""
+    yield "constant", constant_coefficients(3, sigma=(1.0, 1.2, 0.8), b=(0.1, -0.2, 0.0),
+                                            alpha=(0.5, 0.3, 0.2))
+    yield "expression", _expression_coefficients()
+    base = constant_coefficients(2)
+    bounds = CoefficientBounds(a_lower=0.4, sigma_lower=0.05, b_bound=1.0, sigma_bound=2.0,
+                               alpha_lip=1.0)
+
+    def family(b=base.b, sigma=base.sigma, alpha=base.alpha, **kw):
+        return CoefficientSet(I=2, b=b, sigma=sigma, alpha=alpha, bounds=replace(bounds, **kw))
+
+    def weights(first):
+        return lambda t, l: np.stack([first(t, l), 1.0 - first(t, l)], axis=-1)
+
+    yield "more-samples", family(sigma=(lambda t, x, l: 1.0 + 0.9 * np.sin(8.0 * l), 1.0))
+    yield "fail-A-sum", CoefficientSet(
+        I=2, b=base.b, sigma=base.sigma, bounds=bounds,
+        alpha=lambda t, l: np.stack([0.5 + 0.01 * l * t, 0.5 + 0 * l], axis=-1))
+    yield "fail-A-floor", family(alpha=weights(lambda t, l: 0.45 + 0.1 * np.tanh(l - 2.0 + t)))
+    yield "fail-E", family(sigma=(1.0, lambda t, x, l: 0.02 + 0.4 * x + 0 * (t + l)))
+    yield "fail-R-i", family(b=(lambda t, x, l: 0.5 * np.sin(4.0 * x) + 0 * (t + l), 0.2))
+    yield "fail-R-ii", family(sigma=(1.5, lambda t, x, l: 1.0 + 0.8 * np.sin(3.0 * t) + 0.1 * l + 0 * x))
+    yield "fail-R-iii", family(alpha=weights(lambda t, l: 0.5 + 0.05 * np.tanh(4.0 * (l - 1.0)) + 0.01 * t),
+                               a_lower=0.1, alpha_lip=0.05)
+
+
+def _validation_plans():
+    """The default plan, two points per axis, and one point on the t or the l axis."""
+    axis = np.linspace(0.0, 4.0, 9)
+    yield "default", SamplingPlan.default()
+    yield "n=2", SamplingPlan.default(T=0.5, n=2)
+    yield "one-t", SamplingPlan(t=np.array([0.25]), x=axis, l=axis)
+    yield "one-l", SamplingPlan(t=np.linspace(0.0, 1.0, 5), x=axis, l=np.array([0.5]))
+
+
+def _report_text(report) -> str:
+    """Every ClauseResult field of report, one clause a line; each number
+    carries its kind (numpy or Python) and floats are in hex, so a moved bit
+    or a changed index type shows."""
+    def text(v):
+        if isinstance(v, tuple):
+            return "(" + ", ".join(map(text, v)) + ")"
+        kind = "np" if isinstance(v, np.generic) else type(v).__name__
+        return f"{kind}:{float(v).hex() if isinstance(v, (float, np.floating)) else v}"
+
+    return "\n".join(" ".join(text(getattr(cl, k)) for k in ("name", "passed", "worst", "limit", "where"))
+                     for cl in report.clauses)
+
+
 def _check(actual, expected):
     actual = np.asarray(actual)
     expected = np.asarray(expected, dtype=actual.dtype)
@@ -290,6 +346,13 @@ def test_unifying_family_outputs():
 def test_occupation_outputs():
     got = {name: hashlib.sha256(vals.tobytes()).hexdigest() for name, vals in _occupation_cases()}
     assert got == OCCUPATION
+
+
+def test_validation_reports():
+    texts = {f"{fam}-{plan}": _report_text(validate_coefficients(c, p))
+             for fam, c in _validation_families() for plan, p in _validation_plans()}
+    got = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
+    assert got == VALIDATION, {k: texts[k] for k in got if got[k] != VALIDATION.get(k)}
 
 
 def test_pde_manufactured_solution_and_residual():
@@ -557,4 +620,44 @@ CLI = {
     "validate": (0, {
         "validate.csv": "f55e039f81d469c457d2c001a67fa519a45b8e02f7b4eb97f1fb8849453c23d2",
         "validate.json": "973e8467c0ca49e39d9d2d8f89cce9f03c9025a665fbf71c4c07308199a6796b"}),
+}
+
+# sha256 of _report_text(validate_coefficients(family, plan)), per family and plan
+VALIDATION = {
+    "constant-default": "4a66396ba2a1414f68badce180de7484b0f849ab5c91d057e139614e61ae0507",
+    "constant-n=2": "4a66396ba2a1414f68badce180de7484b0f849ab5c91d057e139614e61ae0507",
+    "constant-one-t": "c88e2126d0a9e2f0c298d03939dbc3daca62022dab482db471ac0ba103c1b86e",
+    "constant-one-l": "88666aa40071fb67b3283caf1918889d203bb8893e2221acf1a61f5fb224decc",
+    "expression-default": "f3324faae96808e55ceef885b15a82df6c9c64876199c78d60189904da40bceb",
+    "expression-n=2": "8f9c0f0251452400cee129dd83b0ff5a2c2d2faa9b6092ce48d410521055e983",
+    "expression-one-t": "e1fbc12cf902ebf3f4235e95acf670fcf812393363ad8715bef58d04ad896599",
+    "expression-one-l": "d2922a310db058ec08c4e1cd41da79fb94a7058b27b1b056da820e1cf7ab84b1",
+    "more-samples-default": "e5fecb12a7f9a914c04414b3b52fc51878d736cb30c41a6b7bc8a15355be242d",
+    "more-samples-n=2": "042ec435bc84a9f46130b4c3241a3ea35d10964f3b45bb9adb808935e7463533",
+    "more-samples-one-t": "7e126c78b75917e8c0b6b6d48365eb5b3d1c3987cb845c1158bcaa5edfa96217",
+    "more-samples-one-l": "b157d1604247f2b68447d1b33a7d6ba6ab577787f8f051575d6363eaad79c88d",
+    "fail-A-sum-default": "a53351da36a39e2432f0b3af786b99e615a0e236aaae0a3f8826b4870e0db7df",
+    "fail-A-sum-n=2": "46c85f5af8483adf916cea8748ac0c95dfe557ab2c3ed46b6195fe59845564cd",
+    "fail-A-sum-one-t": "0b608596d1d205488d3d76e758d796d877ee9b815b621ad4bf1507df36c0d87f",
+    "fail-A-sum-one-l": "63e4f39263a44380e3e765d227985e23ef93d8301beb9af943d6ae21baec74f3",
+    "fail-A-floor-default": "a15a9e4599fb4f1e6fd17d1948d4d9e3336a9023f80d77c6c1b333ae9ba73d33",
+    "fail-A-floor-n=2": "702808b0c1468c08dd2454450d8f59065b64f6f6bae851ee1e8106cbb758baca",
+    "fail-A-floor-one-t": "6b474c176fa39cdf9ed50688aa582392e8af1fd816d15d6fc359ccd7abcd0440",
+    "fail-A-floor-one-l": "7af7b07eac10ec9ff1741523db45d0b41e589049951470ab39d2ddb85e095a89",
+    "fail-E-default": "21cefc784ece0b3f077d3559f48eb914aee20682ab07b2183dc1ce154b03e25b",
+    "fail-E-n=2": "21cefc784ece0b3f077d3559f48eb914aee20682ab07b2183dc1ce154b03e25b",
+    "fail-E-one-t": "9096a85f026d571681c1b5c91839e4ba81b4b5cb0f84f652c89eaaf00a9fe6dc",
+    "fail-E-one-l": "5c703f1f4d3b8ed4342a354bf1e7907bc44931d1fa705b23c4ea8fa00a63a882",
+    "fail-R-i-default": "a705d95f5513e0d614bf0ef71b1889d75f2be08761ade26639fd8b44128c03ff",
+    "fail-R-i-n=2": "308247718bf4cf224a10acc1a592c578d49aeae85aadfbef1099d56ed90bc6e8",
+    "fail-R-i-one-t": "bc20c61040785d0ac61921f90757d7ecf0d18ac091f2f8c0e5fd610890969a11",
+    "fail-R-i-one-l": "b5b7dfa0c4a88bacbce2db0b114b540c2dfab1e01db2b3f5f1dd6e2e64aa5a1b",
+    "fail-R-ii-default": "5b2b6213b46969324a5d7e93cfd594460983035510a5fbc8bb60bd919656ab0b",
+    "fail-R-ii-n=2": "68d01f18e68fb412c4bee32d082f3587f2a6e9bf6510e6a3328792661a6e5b1b",
+    "fail-R-ii-one-t": "84af247cd933998615dcb89144b57959c926cf7f5753c9f0fdd03dc05ef0e05e",
+    "fail-R-ii-one-l": "fad71440810ccfe00d47af863a206fa4eb00fb6d8b8ecb4c249bf032d0643e43",
+    "fail-R-iii-default": "acecba3ec78b5136ffe79a42641dbb289573bdc5c9c50141e3f8e99e627d7f08",
+    "fail-R-iii-n=2": "fbdbf9a0fe2e8098b180f5ee40c1b66e8df314decd305383c819b3315449d06e",
+    "fail-R-iii-one-t": "77b1b448757ea4d211aba6cd586d02f9f44f096bd8bcf175d29569437b5d4457",
+    "fail-R-iii-one-l": "369ae7fecba12ead1c912f36e0557218529d66b91627d809114676db7a64e036",
 }
