@@ -10,6 +10,7 @@ the junction local time of the process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -239,6 +240,14 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class ClauseResult:
+    """A clause of validate_coefficients: passed, the worst sampled value
+    against limit, and where it is.  A: the smallest weight at (t, l, ray),
+    or minus the largest |row sum - 1| at (t, l) when it exceeds 1e-12.
+    E: the smallest sigma at (ray, t, x, l).  R-i, R-ii, R-iii: the largest
+    sup or |difference quotient| of b, sigma, alpha: at ("sup", ray) or
+    (axis, ray, (i_t, i_x, i_l)), for alpha at (axis, i_t, i_l, ray - 1); a
+    quotient is at its lower sample, and () means none above 0."""
+
     name: str
     passed: bool
     worst: float
@@ -255,23 +264,22 @@ class ValidationReport:
         return all(c.passed for c in self.clauses)
 
     def clause(self, name: str) -> ClauseResult:
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return {c.name: c for c in self.clauses}[name]
 
 
-def _max_quotient(values: np.ndarray, coords: np.ndarray, axis: int):
-    """Largest |difference quotient| along one axis of a sampled field."""
-    if values.shape[axis] < 2:
-        return 0.0, ()
-    dv = np.abs(np.diff(values, axis=axis))
-    dc = np.diff(coords)
-    shape = [1] * values.ndim
-    shape[axis] = dc.size
-    q = dv / dc.reshape(shape)
-    idx = np.unravel_index(np.argmax(q), q.shape)
-    return float(q[idx]), idx
+def _steepest(field, axes, worst=0.0, where=(), at=lambda name, idx: (name, *idx)):
+    """The largest |difference quotient| of a sampled field along its named
+    axes ((name, coords) per axis, in order), and where it is: at(name, the
+    index of the quotient's lower sample).  It starts from worst at where; a
+    quotient replaces them only when larger, so a tie keeps the earlier."""
+    for axis, (name, coords) in enumerate(axes):
+        if field.shape[axis] > 1:
+            q = np.abs(np.diff(field, axis=axis))
+            q /= np.diff(coords).reshape((-1,) + (1,) * (field.ndim - axis - 1))
+            idx = np.unravel_index(np.argmax(q), q.shape)
+            if q[idx] > worst:
+                worst, where = float(q[idx]), at(name, idx)
+    return worst, where
 
 
 def validate_coefficients(c: CoefficientSet, plan: SamplingPlan | None = None) -> ValidationReport:
@@ -282,11 +290,10 @@ def validate_coefficients(c: CoefficientSet, plan: SamplingPlan | None = None) -
     (R-i)/(R-ii): sup and difference quotients of b_i / sigma_i within bounds.
     (R-iii): difference quotients of alpha within alpha_lip.
 
-    Passing is monotone in the plan: more sample points can only move a
-    clause from pass to fail.
+    alpha is sampled once, on the (t, l) grid; b_i and sigma_i on the
+    (t, x, l) grid.  Passing is monotone in the plan: more sample points can
+    only move a clause from pass to fail.
     """
-    if c.I < 2:
-        raise NetworkError("need at least two edges")
     if plan is None:
         plan = SamplingPlan.default()
     tg, xg, lg = plan.t, plan.x, plan.l
@@ -294,68 +301,37 @@ def validate_coefficients(c: CoefficientSet, plan: SamplingPlan | None = None) -
         raise NetworkError("sampling plan is empty")
     bounds = c.bounds
 
-    # -- clause (A): weights on the (t, l) grid
-    tt, ll = np.meshgrid(tg, lg, indexing="ij")
-    amat = c.alpha_matrix(tt.ravel(), ll.ravel())
+    # -- clause (A) and, reshaped to (t, l, ray), (R-iii): alpha on the (t, l) grid
+    tt, ll = (a.ravel() for a in np.meshgrid(tg, lg, indexing="ij"))
+    amat = c.alpha_matrix(tt, ll)
     devs = np.abs(amat.sum(axis=1) - 1.0)
-    sum_dev = float(np.max(devs))
-    amin = float(np.min(amat))
-    a_ok = sum_dev <= 1e-12 and amin >= bounds.a_lower
-    if sum_dev <= 1e-12:  # where: the smallest weight (t, l, ray)
+    sums_ok = float(np.max(devs)) <= 1e-12
+    if sums_ok:  # the smallest weight, at (t, l, ray)
         row, ray = np.unravel_index(np.argmin(amat), amat.shape)
-        where = (float(tt.ravel()[row]), float(ll.ravel()[row]), int(ray) + 1)
-    else:  # where: the row (t, l) whose sum is furthest from one
+        a_min = (float(np.min(amat)), (float(tt[row]), float(ll[row]), int(ray) + 1))
+    else:  # minus the largest deviation of a row sum from one, at (t, l)
         row = int(np.argmax(devs))
-        where = (float(tt.ravel()[row]), float(ll.ravel()[row]))
-    clause_a = ClauseResult("A", a_ok, worst=amin if sum_dev <= 1e-12 else -sum_dev,
-                            limit=bounds.a_lower, where=where)
+        a_min = (-float(np.max(devs)), (float(tt[row]), float(ll[row])))
 
-    # -- per-edge fields on the (t, x, l) grid
+    # -- clauses (E), (R-i), (R-ii): each ray's b and sigma on the (t, x, l) grid
     T3, X3, L3 = np.meshgrid(tg, xg, lg, indexing="ij")
-    axis_names = ("t", "x", "l")
-    sig_min = np.inf
-    sig_min_where = ()
-    sup_q = {"b": 0.0, "s": 0.0}
-    sup_q_where = {"b": (), "s": ()}
+    axes = (("t", tg), ("x", xg), ("l", lg))
+    first = itemgetter(0)  # min and max keep the earliest of equal values
+    sig_min, q_b, q_sigma = (np.inf, ()), (0.0, ()), (0.0, ())  # (worst, where) pairs
     for e in range(1, c.I + 1):
-        bf = c.drift(e, T3, X3, L3)
-        sf = c.diffusion(e, T3, X3, L3)
-        m = float(np.min(sf))
-        if m < sig_min:
-            sig_min = m
-            w = np.unravel_index(np.argmin(sf), sf.shape)
-            sig_min_where = (e, float(tg[w[0]]), float(xg[w[1]]), float(lg[w[2]]))
-        for key, field_vals in (("b", bf), ("s", sf)):
-            qs = [(float(np.max(np.abs(field_vals))), ("sup", e))]
-            for axis, coords in ((0, tg), (1, xg), (2, lg)):
-                q, where = _max_quotient(field_vals, coords, axis)
-                qs.append((q, (axis_names[axis], e, where)))
-            worst, where = max(qs, key=lambda p: p[0])
-            if worst > sup_q[key]:
-                sup_q[key], sup_q_where[key] = worst, where
-    sup_q_b, sup_q_b_where = sup_q["b"], sup_q_where["b"]
-    sup_q_s, sup_q_s_where = sup_q["s"], sup_q_where["s"]
-
-    clause_e = ClauseResult("E", sig_min >= bounds.sigma_lower, worst=sig_min,
-                            limit=bounds.sigma_lower, where=sig_min_where)
-    clause_ri = ClauseResult("R-i", sup_q_b <= bounds.b_bound, worst=sup_q_b,
-                             limit=bounds.b_bound, where=sup_q_b_where)
-    clause_rii = ClauseResult("R-ii", sup_q_s <= bounds.sigma_bound, worst=sup_q_s,
-                              limit=bounds.sigma_bound, where=sup_q_s_where)
-
-    # -- clause (R-iii): alpha quotients on the (t, l) grid
-    afield = c.alpha_matrix(T3[:, 0, :].ravel(), L3[:, 0, :].ravel()).reshape(
-        tg.size, lg.size, c.I)
-    worst_al = 0.0
-    where_al = ()
-    for axis, coords in ((0, tg), (1, lg)):
-        q, where = _max_quotient(afield, coords, axis)
-        if q > worst_al:
-            worst_al, where_al = q, ("tl"[axis],) + tuple(where)
-    clause_riii = ClauseResult("R-iii", worst_al <= bounds.alpha_lip, worst=worst_al,
-                               limit=bounds.alpha_lip, where=where_al)
-
-    return ValidationReport(clauses=(clause_a, clause_e, clause_ri, clause_rii, clause_riii))
+        bf, sf = c.drift(e, T3, X3, L3), c.diffusion(e, T3, X3, L3)
+        i, j, k = np.unravel_index(np.argmin(sf), sf.shape)
+        sig_min = min(sig_min, (float(np.min(sf)), (e, float(tg[i]), float(xg[j]), float(lg[k]))), key=first)
+        at = lambda name, idx: (name, e, idx)
+        q_b = max(q_b, _steepest(bf, axes, float(np.max(np.abs(bf))), ("sup", e), at), key=first)
+        q_sigma = max(q_sigma, _steepest(sf, axes, float(np.max(np.abs(sf))), ("sup", e), at), key=first)
+    q_alpha = _steepest(amat.reshape(tg.size, lg.size, c.I), (("t", tg), ("l", lg)))
+    return ValidationReport(clauses=(
+        ClauseResult("A", sums_ok and a_min[0] >= bounds.a_lower, a_min[0], bounds.a_lower, a_min[1]),
+        ClauseResult("E", sig_min[0] >= bounds.sigma_lower, sig_min[0], bounds.sigma_lower, sig_min[1]),
+        ClauseResult("R-i", q_b[0] <= bounds.b_bound, q_b[0], bounds.b_bound, q_b[1]),
+        ClauseResult("R-ii", q_sigma[0] <= bounds.sigma_bound, q_sigma[0], bounds.sigma_bound, q_sigma[1]),
+        ClauseResult("R-iii", q_alpha[0] <= bounds.alpha_lip, q_alpha[0], bounds.alpha_lip, q_alpha[1])))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,23 @@ def test_validate_rejects_single_edge():
         constant_coefficients(1)
 
 
+def test_validation_samples_alpha_once():
+    """Clause A's (t, l) rows, reshaped to (t, l, ray), are the R-iii field:
+    one validate_coefficients call evaluates alpha once, on every row."""
+    base = constant_coefficients(2)
+    calls = []
+
+    def alpha(t, l):
+        calls.append(t.size)
+        w = 0.5 + 0.1 * np.tanh(l - t)
+        return np.stack([w, 1.0 - w], axis=-1)
+
+    c = CoefficientSet(I=2, b=base.b, sigma=base.sigma, alpha=alpha, bounds=base.bounds)
+    report = validate_coefficients(c, SamplingPlan.default(n=5))
+    assert calls == [25]
+    assert report.clause("R-iii").worst > 0
+
+
 def test_more_samples_never_rescue_a_failure():
     # Lipschitz-in-l violation visible only on the fine grid
     base = constant_coefficients(2)
