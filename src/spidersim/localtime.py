@@ -88,7 +88,7 @@ def excursion_decompose(p: SpiderPath, eps: float) -> ExcursionDecomposition:
     returns via the contact flags recorded by the scheme (exact zeros for
     the reflection-map oracle).
     """
-    if eps <= p.delta_activity:
+    if not eps > p.delta_activity:  # also catches NaN
         raise named(EstimationError(
             f"eps = {eps} must exceed the vertex-activity radius {p.delta_activity:.3g}"), "eps")
     above = np.flatnonzero(p.x >= eps)
@@ -148,8 +148,10 @@ def excursion_functional(p: SpiderPath, f: TestFunction, eps: float, t: float) -
     return total
 
 
-def _ray_mask(c: CoefficientSet, edges: Iterable[int] | None) -> np.ndarray:
-    """selected[e] is True for the rays e of the subset (all rays for None)."""
+def _shell_rays(c: CoefficientSet, eps: float, edges: Iterable[int] | None) -> np.ndarray:
+    """selected[e] is True for the rays e of the subset (all rays for None); eps > 0 is finite."""
+    if not 0.0 < eps < math.inf:  # also catches NaN
+        raise named(EstimationError(f"eps = {eps!r} must be positive and finite"), "eps")
     subset = sorted(set(range(1, c.I + 1) if edges is None else (int(e) for e in edges)))
     if not subset or any(e < 1 or e > c.I for e in subset):
         raise EstimationError(f"edge subset {tuple(subset)} invalid for I={c.I}")
@@ -173,9 +175,7 @@ def occupation_estimate(p: SpiderPath, c: CoefficientSet, eps: float, t: float,
     With all edges this estimates the junction local time; with a strict
     subset it estimates the alpha-weighted share of the selected rays.
     """
-    if eps <= 0:
-        raise EstimationError("eps must be positive")
-    selected = _ray_mask(c, edges)
+    selected = _shell_rays(c, eps, edges)
     idx = grid_index(p, t)
     rows, sig2 = _shell_integrand(c, selected, eps, lambda rows: p.t0 + p.h * rows,
                                   p.x[:idx], p.edge[:idx], p.l[:idx])
@@ -194,7 +194,7 @@ def occupation_batch(c: CoefficientSet, init, cfg, eps: float,
     Equivalent to occupation_estimate at the horizon on stored paths, but
     accumulated on the fly so large ensembles never materialize.
     """
-    selected = _ray_mask(c, edges)
+    selected = _shell_rays(c, eps, edges)
 
     def block(lo, hi):
         acc = np.zeros(hi - lo)

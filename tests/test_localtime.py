@@ -78,6 +78,27 @@ def test_decompose_rejects_eps_below_activity():
         excursion_decompose(path, 0.05)  # activity radius is 0.3 at h=1e-2
 
 
+_EPS_ENTRY_POINTS = {
+    "occupation_batch": lambda c, p, eps: occupation_batch(
+        c, SpiderState(0.0, 0.0, 1, 0.0), SimConfig(h=1e-3, T=0.1, n_paths=4), eps),
+    "occupation_estimate": lambda c, p, eps: occupation_estimate(p, c, eps, 0.1),
+    "excursion_decompose": lambda c, p, eps: excursion_decompose(p, eps),
+    "excursion_functional": lambda c, p, eps: excursion_functional(p, identity_function(2), eps, 0.1),
+}
+
+
+@pytest.mark.parametrize("entry, eps", [(entry, eps) for entry in _EPS_ENTRY_POINTS
+                                        for eps in (math.nan, 0.0, -0.1)]
+                         + [("occupation_batch", math.inf), ("occupation_estimate", math.inf)])
+def test_bad_eps_is_named(entry, eps):
+    """NaN fails each eps check, and the shell integrals also take no eps
+    that is zero, negative or infinite: each raises an error naming eps."""
+    path, _ = oracle_path(1, 0, 1e-3, 0.1)
+    with pytest.raises(EstimationError) as err:
+        _EPS_ENTRY_POINTS[entry](constant_coefficients(2), path, eps)
+    assert err.value.names == ("eps",)
+
+
 def test_downcrossing_zero_when_no_crossings():
     est = downcrossing_estimate(_synthetic_path([1.0, 1.5, 2.0, 1.2]), 0.5, 3.0)
     assert est.value == 0.0
