@@ -355,10 +355,8 @@ def ito_convergence(c: CoefficientSet, init: SpiderState, f: TestFunction,
     hs = sorted(h_list, reverse=True)
     k_fine = SimConfig(h=h_fine, T=T).n_steps(init.t)
     seed_g = _rng.derive_seed(seed, "matched-skeleton")
-    steps = np.arange(k_fine, dtype=np.uint64)
-    g_fine = np.empty((n_paths, k_fine))
-    for p in range(n_paths):  # one Philox call per path: its stream, steps 0..k_fine-1
-        g_fine[p] = _rng.gaussians(seed_g, np.full(k_fine, p, dtype=np.uint64), steps)
+    streams = np.arange(n_paths, dtype=np.uint64)[:, None]  # path p: its stream, steps 0..k_fine-1
+    g_fine = _rng.gaussians(seed_g, streams, np.arange(k_fine, dtype=np.uint64))
     means = []
     for h in hs:
         m = round(h / h_fine)
