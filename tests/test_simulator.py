@@ -353,6 +353,55 @@ def test_gaussian_injection_reproduces_counter_streams():
     assert np.array_equal(a.l, b.l)
 
 
+@pytest.mark.parametrize("policy", ["reflection", "shell"])
+def test_absorbing_run_with_injected_gaussians_matches_the_drawn_run(policy):
+    """Absorption drops rows as paths hit the level; the injected gaussians
+    are still read on each running path's own row, so every FirstHitResult
+    field equals the drawn run's bit for bit.  The path ids are not the batch
+    rows, and some paths start at the junction."""
+    cfg = SimConfig(h=1e-4, T=0.02, delta_shell=0.05, policy=policy, seed=19)
+    K, n = cfg.n_steps(), 200
+    ids = np.arange(1000, 1000 + n, dtype=np.uint64)
+    g = np.column_stack([gaussians(19, ids, np.uint64(3 * k)) for k in range(K)])
+    kw = dict(K=K, t0=0.0, x0=np.repeat(np.linspace(0.0, 0.2, n // 2), 2), edge0=2, l0=0.1,
+              path_ids=ids, stop_level=0.15)
+    drawn = run_batch(_c(I=3, alpha=[0.5, 0.3, 0.2]), cfg, **kw)
+    injected = run_batch(_c(I=3, alpha=[0.5, 0.3, 0.2]), cfg, gaussians=g, **kw)
+    assert 0 < drawn.censored.sum() < n - 2
+    for f in fields(drawn):
+        want, got = getattr(drawn, f.name), getattr(injected, f.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+
+
+@pytest.mark.parametrize("stop_level", [None, 0.15], ids=["fixed", "absorbing"])
+@pytest.mark.parametrize("policy", ["reflection", "shell"])
+def test_departure_is_the_first_draw_and_empty_runs_draw_nothing(policy, stop_level, monkeypatch):
+    """One list of every rng.gaussians and rng.uniforms call, in order: the
+    junction starts draw their departure ray first (counter slot 2 of step 0),
+    before step 0's gaussians; a run of K = 0 steps or of no paths draws
+    nothing."""
+    from spidersim import rng
+
+    calls = []
+    for name in ("gaussians", "uniforms"):
+        def spy(seed, stream, ctr, _name=name, _orig=getattr(rng, name)):
+            calls.append((_name, int(ctr), np.array(stream).tolist()))
+            return _orig(seed, stream, ctr)
+        monkeypatch.setattr(rng, name, spy)
+    cfg = SimConfig(h=1e-4, T=0.02, delta_shell=0.05, policy=policy, seed=6)
+    x0 = np.array([0.0, 0.1, 0.0, 0.2])
+    run = lambda K, x0: run_batch(_c(I=3, alpha=[0.5, 0.3, 0.2]), cfg, K=K, t0=0.0, x0=x0,
+                                  edge0=1, l0=0.0, stop_level=stop_level)
+    run(cfg.n_steps(), x0)
+    running = [0, 1, 2, 3] if stop_level is None else [0, 1, 2]  # path 3 starts past the level
+    assert calls[:2] == [("uniforms", 2, [0, 2]), ("gaussians", 0, running)]
+    assert ("uniforms", 2, [0, 2]) not in calls[1:]
+    calls.clear()
+    run(0, x0)
+    run(cfg.n_steps(), np.zeros(0))
+    assert calls == []
+
+
 # b, sigma, alpha of a 3-ray constant family, and its bounds
 _B, _SIGMA, _ALPHA = (0.1, -0.2, 0.0), (1.0, 0.8, 1.2), (0.5, 0.3, 0.2)
 _BOUNDS = {"a_lower": 0.1, "sigma_lower": 0.5, "b_bound": 0.5, "sigma_bound": 1.2,
