@@ -286,16 +286,18 @@ def run_batch(
         theta = np.full(n, np.nan)
         exit_edge = np.zeros(n, dtype=np.int64)
         exit_l = np.full(n, np.nan)
-        rows = np.arange(n)  # output row of each running path
+    ids, rows = path_ids, np.arange(n)  # rows: batch row of each running path
 
-    ids = path_ids
-    pending = x == 0.0
-    shell_mode = np.zeros(n, dtype=bool)
-
-    def redraw(mask, slot):
-        u = _rng.uniforms(seed, ids[mask], base + np.uint64(slot))
+    def redraw(mask, k, slot):
+        u = _rng.uniforms(seed, ids[mask], np.uint64(_SLOTS * k + slot))
         cum = cum_table if cum_table is not None else _cum_weights(c.alpha_matrix(t[mask], l[mask]))
         edge[mask] = _pick_edges(cum, u)
+
+    # a junction start departs on a ray drawn before step 0 (its first draw)
+    depart = x == 0.0
+    if K > 0 and depart.any():
+        redraw(depart, 0, _DEPART_SLOT)
+    shell_mode = depart if shell else np.zeros(n, dtype=bool)
 
     for k in range(K + 1):
         if absorbing:
@@ -304,22 +306,12 @@ def run_batch(
                 r = rows[hit]
                 theta[r], exit_edge[r], exit_l[r] = t[hit], edge[hit], l[hit]
                 keep = ~hit
-                t, x, edge, l, ids, pending, shell_mode, rows = (
-                    a[keep] for a in (t, x, edge, l, ids, pending, shell_mode, rows))
+                t, x, edge, l, ids, shell_mode, rows = (
+                    a[keep] for a in (t, x, edge, l, ids, shell_mode, rows))
         if k == K or x.size == 0:
             break
-        base = np.uint64(_SLOTS * k)
-        if pending.any():
-            redraw(pending, _DEPART_SLOT)
-            if shell:
-                shell_mode |= pending
-            pending[:] = False
-        if gaussians is None:
-            g = _rng.gaussians(seed, ids, base + np.uint64(_GAUSS_SLOT))
-        elif absorbing:
-            g = gaussians[rows, k]
-        else:
-            g = gaussians[:, k]
+        g = (_rng.gaussians(seed, ids, np.uint64(_SLOTS * k + _GAUSS_SLOT)) if gaussians is None
+             else gaussians[rows, k])
         step = Step(k, t, x, edge, l, g, c.I)
         parts = lambda: step.parts
         bv = c.drift(edge, t, x, l, parts)
@@ -337,13 +329,13 @@ def run_batch(
         if shell:
             enter = contact & ~shell_mode
             if enter.any():
-                redraw(enter, _CONTACT_SLOT)
+                redraw(enter, k, _CONTACT_SLOT)
                 shell_mode |= enter
             exiting = shell_mode & (x_new >= dsh)
             x_new = np.where(exiting, dsh, x_new)
             shell_mode &= ~exiting
         elif contact.any():
-            redraw(contact, _CONTACT_SLOT)
+            redraw(contact, k, _CONTACT_SLOT)
         x = x_new
         l = l + dl
         t = t + h
