@@ -10,7 +10,6 @@ the junction local time of the process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -292,7 +291,8 @@ def validate_coefficients(c: CoefficientSet, plan: SamplingPlan | None = None) -
 
     alpha is sampled once, on the (t, l) grid; b_i and sigma_i on the
     (t, x, l) grid.  Passing is monotone in the plan: more sample points can
-    only move a clause from pass to fail.
+    only move a clause from pass to fail.  A NaN sample of a ray's sigma
+    fails E and R-ii, of its b R-i, each with worst NaN found on that ray.
     """
     if plan is None:
         plan = SamplingPlan.default()
@@ -316,15 +316,16 @@ def validate_coefficients(c: CoefficientSet, plan: SamplingPlan | None = None) -
     # -- clauses (E), (R-i), (R-ii): each ray's b and sigma on the (t, x, l) grid
     T3, X3, L3 = np.meshgrid(tg, xg, lg, indexing="ij")
     axes = (("t", tg), ("x", xg), ("l", lg))
-    first = itemgetter(0)  # min and max keep the earliest of equal values
+    # min and max keep the earliest of equal values; a NaN sample is the worst of all
+    low, high = (lambda p: (not np.isnan(p[0]), p[0])), (lambda p: (np.isnan(p[0]), p[0]))
     sig_min, q_b, q_sigma = (np.inf, ()), (0.0, ()), (0.0, ())  # (worst, where) pairs
     for e in range(1, c.I + 1):
         bf, sf = c.drift(e, T3, X3, L3), c.diffusion(e, T3, X3, L3)
         i, j, k = np.unravel_index(np.argmin(sf), sf.shape)
-        sig_min = min(sig_min, (float(np.min(sf)), (e, float(tg[i]), float(xg[j]), float(lg[k]))), key=first)
+        sig_min = min(sig_min, (float(np.min(sf)), (e, float(tg[i]), float(xg[j]), float(lg[k]))), key=low)
         at = lambda name, idx: (name, e, idx)
-        q_b = max(q_b, _steepest(bf, axes, float(np.max(np.abs(bf))), ("sup", e), at), key=first)
-        q_sigma = max(q_sigma, _steepest(sf, axes, float(np.max(np.abs(sf))), ("sup", e), at), key=first)
+        q_b = max(q_b, _steepest(bf, axes, float(np.max(np.abs(bf))), ("sup", e), at), key=high)
+        q_sigma = max(q_sigma, _steepest(sf, axes, float(np.max(np.abs(sf))), ("sup", e), at), key=high)
     q_alpha = _steepest(amat.reshape(tg.size, lg.size, c.I), (("t", tg), ("l", lg)))
     return ValidationReport(clauses=(
         ClauseResult("A", sums_ok and a_min[0] >= bounds.a_lower, a_min[0], bounds.a_lower, a_min[1]),

@@ -50,6 +50,25 @@ def test_validate_vanishing_sigma_fails_clause_e():
     assert not report.clause("E").passed
 
 
+@pytest.mark.parametrize("ray", [1, 2])
+def test_validate_nan_drift_and_diffusion_fail_their_clauses(ray):
+    """A b and sigma that are NaN for x > 3.9 on one ray fail E, R-i and
+    R-ii with a NaN worst value found on that ray, whichever ray it is."""
+    base = constant_coefficients(2)
+    nan_far = lambda t, x, l: np.where(np.asarray(x) > 3.9, np.nan, 1.0)
+    b, sigma = list(base.b), list(base.sigma)
+    b[ray - 1] = sigma[ray - 1] = nan_far
+    c = CoefficientSet(I=2, b=tuple(b), sigma=tuple(sigma), alpha=base.alpha, bounds=base.bounds)
+    report = validate_coefficients(c)
+    assert not report.passed
+    for name in ("E", "R-i", "R-ii"):
+        clause = report.clause(name)
+        assert not clause.passed and np.isnan(clause.worst), name
+    assert report.clause("E").where == (ray, 0.0, 4.0, 0.0)
+    assert report.clause("R-i").where == report.clause("R-ii").where == ("sup", ray)
+    assert report.clause("A").passed and report.clause("R-iii").passed
+
+
 def test_validate_rejects_wrong_alpha_length():
     base = constant_coefficients(2)
     c = CoefficientSet(I=2, b=base.b, sigma=base.sigma,
