@@ -323,9 +323,10 @@ def solve(problem: PdeProblem, grid: PdeGrid) -> PdeSolution:
 def residual(solution: PdeSolution) -> dict:
     """Discrete stencil residuals of solution.values on its own problem and grid.
 
-    Evaluates the same interior, far-boundary and vertex relations the
-    solver enforces; on a solved field they vanish to rounding, on an
-    exact-solution sample they expose the truncation order.
+    Evaluates the rows the solver enforces at nodes 1..J-1 and at the vertex,
+    on the slices below l = K (not the Neumann row at node J); on a solved
+    field they vanish to rounding, on an exact-solution sample they expose
+    the truncation order.
     """
     problem, grid = solution.problem, solution.grid
     c = problem.coefficients

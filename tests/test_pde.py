@@ -347,3 +347,59 @@ def test_source_rows_at_one_time_equal_the_rows_at_that_time(n):
     once = rows(edge, t[:1], x, l, b, sigma)
     assert once.shape == (n,)
     assert np.array_equal(once, rows(edge, t, x, l, b, sigma))
+
+
+def _neumann_row(sol: PdeSolution) -> np.ndarray:
+    """The solver's row at the far node J on every solved level and slice,
+    with the mirror ghost u_{J+1} = u_{J-1} (so d/dx = 0 there):
+    (u_known - u)/dt + sigma^2 (u_{J-1} - u)/dx^2 - c u + h."""
+    prob, grid = sol.problem, sol.grid
+    c, U, J = prob.coefficients, sol.values, grid.J
+    tg, xg, lg = grid.axes(prob)
+    dt, dx = tg[1] - tg[0], xg[1] - xg[0]
+    l = lg[:grid.P + (prob.psi_edge is None)]  # the Dirichlet slice l = K is data
+    backward = prob.direction == "backward"
+    rows = []
+    for m in range(grid.M) if backward else range(1, grid.M + 1):
+        t, known = tg[m], U[:, m + 1 if backward else m - 1, J, :l.size]
+        for e in range(1, c.I + 1):
+            u, inner = U[e - 1, m, J, :l.size], U[e - 1, m, J - 1, :l.size]
+            rows.append((known[e - 1] - u) / dt
+                        + c.diffusion(e, t, xg[J], l)**2 * (inner - u) / dx**2
+                        - prob.zeroth(e, t, xg[J], l) * u + prob.source(e, t, xg[J], l))
+    return np.concatenate(rows)
+
+
+def _three_ray_coefficients():
+    return build_coefficient_set({
+        "I": 3, "b": ["0.2*tanh(x) - 0.1*l", "0.1*sin(t)", "-0.1*x"],
+        "sigma": ["1 + 0.2*sin(t)", "0.8 + 0.1*tanh(l)", "0.9 + 0.05*x"],
+        "alpha": {"exprs": ["1 + l", "1", "1 + t"], "mode": "renormalize"},
+        "bounds": {"a_lower": 0.1, "sigma_lower": 0.5, "b_bound": 2.0,
+                   "sigma_bound": 1.5, "alpha_lip": 1.0},
+    })
+
+
+@pytest.mark.parametrize("case", ["backward", "forward", "three-ray"])
+def test_solved_field_satisfies_the_neumann_row_at_the_far_node(case):
+    """residual checks nodes 1..J-1 and the vertex; the far-boundary row
+    the solver also enforces holds on a solved field to rounding."""
+    wavy = lambda e: (lambda x, l: 1.0 + 0.3 * np.asarray(l) + 0.2 * e * np.sin(np.asarray(x)))
+    if case == "backward":
+        prob = manufactured_backward(_varying_coefficients(), _truth(2.0), 1.0, 2.0, 2.0)
+    elif case == "forward":
+        prob = PdeProblem(
+            coefficients=_varying_coefficients(), T=0.5, R=1.5, K=1.0, direction="forward",
+            g_edge=(wavy(1), wavy(2)),
+            h_edge=(lambda t, x, l: np.cos(np.asarray(x)) * (1 + t), lambda t, x, l: 0.5 * l),
+            c_edge=(lambda t, x, l: 0.2 + 0.1 * np.asarray(l), lambda t, x, l: 0.1 * t))
+    else:
+        prob = PdeProblem(
+            coefficients=_three_ray_coefficients(), T=0.5, R=1.5, K=1.0,
+            g_edge=(wavy(1), wavy(2), wavy(3)),
+            h_edge=tuple(lambda t, x, l, _e=e: _e * np.sin(np.asarray(x) + t) for e in (1, 2, 3)),
+            h0=lambda t, l: 1.0 + 0.5 * np.asarray(l))
+    sol = solve(prob, PdeGrid(16, 16, 8))
+    row = _neumann_row(sol)
+    assert row.size == 16 * prob.coefficients.I * (9 - (prob.psi_edge is not None))
+    assert np.abs(row).max() < 1e-12
