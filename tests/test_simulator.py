@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from spidersim import network, simulator
+from spidersim import network, rng, simulator
 from spidersim.coeffexpr import build_coefficient_set
 from spidersim.localtime import occupation_batch, oracle_path
 from spidersim.network import CoefficientBounds, CoefficientSet, constant_coefficients
@@ -380,8 +380,6 @@ def test_departure_is_the_first_draw_and_empty_runs_draw_nothing(policy, stop_le
     junction starts draw their departure ray first (counter slot 2 of step 0),
     before step 0's gaussians; a run of K = 0 steps or of no paths draws
     nothing."""
-    from spidersim import rng
-
     calls = []
     for name in ("gaussians", "uniforms"):
         def spy(seed, stream, ctr, _name=name, _orig=getattr(rng, name)):
